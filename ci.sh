@@ -5,6 +5,11 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The benchmark (perfbench/) is a package of its own that drives the
+# workspace only through public APIs: build and test it here so a core
+# API change that breaks it fails CI, not the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 # Chaos suite (bounded iterations): kill/corrupt/fsck/resume loops must
 # stay bit-identical. Already part of the workspace run above; kept as
 # an explicit gate so containment regressions fail loudly by name.

@@ -2241,17 +2241,20 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         None => vbench::MICRO_NAMES.iter().map(|n| n.to_string()).collect(),
     };
     let experiments = flags.experiments.unwrap_or(40);
+    let category = flags.category.unwrap_or(SiteCategory::PureData);
     let mut docs = Vec::new();
     for name in &names {
         let w = load_bench(name, flags.isa)?;
-        let prog = vulfi::prepare(&w, flags.category.unwrap_or(SiteCategory::PureData))
-            .map_err(|e| e.to_string())?;
+        let prog = vulfi::prepare(&w, category).map_err(|e| e.to_string())?;
         let started = std::time::Instant::now();
-        let c =
-            vulfi::run_campaign(&prog, &w, experiments, flags.seed).map_err(|e| e.to_string())?;
+        let exps = bench_experiments(experiments, |r| {
+            vulfi::run_experiment_range(&prog, &w, flags.seed, r)
+        })?;
         let wall_ns = started.elapsed().as_nanos() as u64;
         let wall_s = (wall_ns as f64 / 1e9).max(1e-9);
-        let dyn_insts: u64 = c.experiments.iter().map(|e| e.golden_dyn_insts).sum();
+        let mut counts = vulfi::OutcomeCounts::default();
+        exps.iter().for_each(|e| counts.add(e));
+        let dyn_insts: u64 = exps.iter().map(|e| e.golden_dyn_insts).sum();
         let exp_per_sec = experiments as f64 / wall_s;
         println!(
             "{:14} [{}]: {} experiments in {:.2}s — {:.0} exp/s, {:.1}M dyn-inst/s, SDC {:.1}%",
@@ -2261,7 +2264,7 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             wall_s,
             exp_per_sec,
             dyn_insts as f64 / wall_s / 1e6,
-            c.counts.sdc_rate()
+            counts.sdc_rate()
         );
         // One profiled golden run per bench: the opcode-mix summary in
         // the recording is what lets the history tell *why* throughput
@@ -2296,25 +2299,29 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
             "exp_per_sec": exp_per_sec,
             "dyn_insts": dyn_insts,
             "dyn_insts_per_sec": dyn_insts as f64 / wall_s,
-            "sdc_rate": c.counts.sdc_rate(),
+            "sdc_rate": counts.sdc_rate(),
             "opcode_mix": mix_doc,
         }));
         // `--prune`: time the same experiment range with statically
         // discharged injections skipped, recorded as a separate bench
-        // entry so the trajectory carries the pruned-vs-full pair. The
-        // one-time analyzer/census setup is recorded but not counted in
-        // exp/s — a real study amortizes it over every campaign.
+        // entry so the trajectory carries the pruned-vs-full pair. Same
+        // driver and thread count as the full row, on a freshly prepared
+        // program so it cannot inherit the full row's warm golden cache.
+        // The one-time analyzer/census setup (which fills that cache) is
+        // recorded but not counted in exp/s — a real study amortizes it
+        // over every campaign.
         if flags.prune.is_some() {
             if flags.prune.as_deref() != Some("on") {
                 return Err("bench supports only --prune / --prune=on".to_string());
             }
+            let prog = vulfi::prepare(&w, category).map_err(|e| e.to_string())?;
             let setup = std::time::Instant::now();
             let ctx = vulfi::build_prune_context(&prog, &w).map_err(|e| e.to_string())?;
             let setup_ns = setup.elapsed().as_nanos() as u64;
             let started = std::time::Instant::now();
-            let exps =
-                vulfi::run_experiment_range_pruned(&prog, &w, &ctx, flags.seed, 0..experiments)
-                    .map_err(|e| e.to_string())?;
+            let exps = bench_experiments(experiments, |r| {
+                vulfi::run_experiment_range_pruned(&prog, &w, &ctx, flags.seed, r)
+            })?;
             let pruned_wall_ns = started.elapsed().as_nanos() as u64;
             let pruned_wall_s = (pruned_wall_ns as f64 / 1e9).max(1e-9);
             let mut counts = vulfi::OutcomeCounts::default();
@@ -2393,6 +2400,18 @@ fn bench_cmd(flags: &Flags) -> Result<(), String> {
         check_bench_regression(baseline, &docs)?;
     }
     Ok(())
+}
+
+/// Experiments `0..n` of one campaign, one rayon task per experiment:
+/// the single driver every `vulfi bench` row is timed with, so rows
+/// differ only in what `run` does, never in parallelism.
+fn bench_experiments(
+    n: usize,
+    run: impl Fn(std::ops::Range<usize>) -> Result<Vec<vulfi::Experiment>, vulfi::CampaignError> + Sync,
+) -> Result<Vec<vulfi::Experiment>, String> {
+    use rayon::prelude::*;
+    let chunks: Result<Vec<_>, _> = (0..n).into_par_iter().map(|i| run(i..i + 1)).collect();
+    Ok(chunks.map_err(|e| e.to_string())?.concat())
 }
 
 /// Throughput the CI gate compares: how many regressions matter more

@@ -1,17 +1,24 @@
 //! The fault-injection campaign driver (paper §IV-B, §IV-D).
 //!
-//! - An **experiment** runs a workload twice on one randomly chosen input:
-//!   a golden run (no faults; records the output and the dynamic-fault-site
-//!   count N) and a faulty run (one bit flip at a dynamic site drawn
-//!   uniformly from 1..=N). The outcome is **SDC** (outputs differ),
-//!   **Benign** (identical), or **Crash** (trap / fault-induced hang).
+//! - An **experiment** pairs a golden run (no faults; records the output
+//!   and the dynamic-fault-site count N) with a faulty run (one bit flip
+//!   at a dynamic site drawn uniformly from 1..=N) on one randomly chosen
+//!   input. The outcome is **SDC** (outputs differ), **Benign**
+//!   (identical), or **Crash** (trap / fault-induced hang).
 //! - A **campaign** is 100 independent experiments; its SDC rate is one
 //!   statistical sample.
 //! - A **study** repeats campaigns until the ±3 pp @95% stopping rule of
 //!   `stats::study_converged` fires (the paper observed 20 campaigns
 //!   suffice everywhere).
 //!
+//! Every driver (plain, pruned, traced, any fault model) runs one
+//! pipeline: draw input → cached golden → draw target and entropy →
+//! optional static discharge → faulty run → classify → optional capture.
+//! The golden run is cached per (`Prepared`, input).
+//!
 //! Experiments are embarrassingly parallel; campaigns fan out over rayon.
+
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -28,7 +35,7 @@ use crate::runtime::{InjectionRecord, VulfiHost};
 use crate::sites::StaticSite;
 use crate::stats::{study_converged, StudySummary};
 use crate::trace::TraceCapture;
-use crate::workload::{snapshot_outputs, Workload};
+use crate::workload::{snapshot_outputs, SetupResult, Workload};
 
 /// Outcome classification of one experiment (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -107,6 +114,12 @@ impl Default for ResourceLimits {
 }
 
 /// An instrumented program ready for injection runs.
+///
+/// A `Prepared` also owns the **golden cache**: one slot per workload
+/// input, filled by the first experiment that draws the input. The cache
+/// assumes the program's module, entry, sites and category — and the
+/// workload it was prepared from — stay fixed; `model` and `limits` may
+/// change freely, because no cached fact depends on them.
 pub struct Prepared {
     pub module: Module,
     pub entry: String,
@@ -118,7 +131,15 @@ pub struct Prepared {
     /// Fault model applied by every experiment (default: the paper's
     /// single bit flip).
     pub model: FaultModel,
+    /// Per-input golden runs; sized on first use, so `prepare` does no
+    /// extra work.
+    golden: OnceLock<Box<[GoldenSlot]>>,
 }
+
+/// One input's cached golden run. A trap is cached as the error every
+/// experiment drawing the input returns; a panic is never cached, so each
+/// experiment re-runs and records it.
+type GoldenSlot = Mutex<Option<Result<Arc<Golden>, CampaignError>>>;
 
 /// Instrument `workload`'s module for the given category.
 pub fn prepare(workload: &dyn Workload, category: SiteCategory) -> Result<Prepared, CampaignError> {
@@ -140,12 +161,143 @@ pub fn prepare_with(
         category: opts.category,
         limits: ResourceLimits::default(),
         model: FaultModel::default(),
+        golden: OnceLock::new(),
     })
 }
 
 /// Hang-budget multiplier over the golden run's dynamic instruction count.
 const HANG_FACTOR: u64 = 10;
 const HANG_SLACK: u64 = 100_000;
+
+/// What one golden run of one input established. Everything except the
+/// two logs is always recorded; the logs are kept only once something
+/// asks for them ([`Extras`]).
+struct Golden {
+    /// Output snapshot every faulty run is compared against.
+    outputs: Vec<u8>,
+    dyn_insts: u64,
+    /// Dynamic value-fault sites (active lanes of instrumented calls).
+    value_sites: u64,
+    /// Event censuses of the engine-level fault models.
+    engine: vexec::EngineCensus,
+    /// Ordered `(site_id, lane)` of every dynamic value site — the
+    /// census the pruner replays to predict an injection coordinate.
+    site_log: Option<Vec<(u32, u32)>>,
+    /// Architectural event fingerprints a traced faulty run is compared
+    /// against.
+    events: Option<Arc<[u64]>>,
+}
+
+/// The optional golden logs a caller needs.
+#[derive(Clone, Copy)]
+struct Extras {
+    site_log: bool,
+    events: bool,
+}
+
+impl Golden {
+    /// Size of `model`'s target distribution for this input.
+    fn targets(&self, model: FaultModel) -> u64 {
+        match model {
+            FaultModel::MaskCorrupt => self.engine.masked_ops,
+            FaultModel::AddressLine { .. } => self.engine.mem_accesses,
+            FaultModel::MemoryCell => self.dyn_insts,
+            _ => self.value_sites,
+        }
+    }
+}
+
+impl Prepared {
+    /// The golden run of `input`, from the cache or run now. Racing
+    /// callers on one input wait for a single fill; a caller needing a
+    /// log the slot lacks re-runs the golden run keeping every log
+    /// already stored.
+    fn golden(
+        &self,
+        workload: &dyn Workload,
+        input: u64,
+        want: Extras,
+    ) -> Result<Arc<Golden>, CampaignError> {
+        let slots = self.golden.get_or_init(|| {
+            (0..workload.num_inputs().max(1))
+                .map(|_| Mutex::default())
+                .collect()
+        });
+        let Some(slot) = slots.get(input as usize) else {
+            return golden_run(self, workload, input, want).map(Arc::new);
+        };
+        // A panicking golden run poisons the lock before the slot is
+        // written, so a poisoned slot still holds a valid state.
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let (has_log, has_events) = match &*slot {
+            Some(Err(e)) => return Err(e.clone()),
+            Some(Ok(g))
+                if (g.site_log.is_some() || !want.site_log)
+                    && (g.events.is_some() || !want.events) =>
+            {
+                return Ok(Arc::clone(g))
+            }
+            Some(Ok(g)) => (g.site_log.is_some(), g.events.is_some()),
+            None => (false, false),
+        };
+        let keep = Extras {
+            site_log: want.site_log || has_log,
+            events: want.events || has_events,
+        };
+        let fresh = golden_run(self, workload, input, keep).map(Arc::new);
+        *slot = Some(fresh.clone());
+        fresh
+    }
+}
+
+fn setup(
+    workload: &dyn Workload,
+    interp: &mut Interp,
+    input: u64,
+) -> Result<SetupResult, CampaignError> {
+    workload
+        .setup(&mut interp.mem, input)
+        .map_err(|t| CampaignError(format!("setup failed: {t}")))
+}
+
+/// The one golden run: unlimited, never injecting, counting value sites
+/// and every engine model's events, and recording the requested logs.
+fn golden_run(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    input: u64,
+    want: Extras,
+) -> Result<Golden, CampaignError> {
+    let mut tracer = want.events.then(vexec::DivergenceTracer::record);
+    // Counting mode tallies every model's census; the model argument
+    // only selects what `events()` would report.
+    let mut counter = vexec::EngineInjector::count(vexec::EngineModel::MemoryCell);
+    let mut host = if want.site_log {
+        VulfiHost::profile_logging()
+    } else {
+        VulfiHost::profile()
+    };
+    let mut interp = Interp::new(&prog.module);
+    let setup = setup(workload, &mut interp, input)?;
+    if let Some(t) = tracer.as_mut() {
+        interp.set_trace_sink(t);
+    }
+    interp.set_engine_injector(&mut counter);
+    let run = interp
+        .run(&prog.entry, &setup.args, &mut host)
+        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
+    let outputs = snapshot_outputs(&interp.mem, &setup.outputs, &run.ret)
+        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
+    drop(interp);
+    Ok(Golden {
+        outputs,
+        dyn_insts: run.dyn_insts,
+        value_sites: host.dynamic_sites,
+        engine: counter.census(),
+        site_log: host.site_log,
+        events: tracer.map(|t| t.into_stream().into()),
+    })
+}
 
 /// Run one fault-injection experiment.
 ///
@@ -160,17 +312,19 @@ pub fn run_experiment(
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
 ) -> Result<Experiment, CampaignError> {
-    run_experiment_tagged(prog, workload, rng, None, None)
+    run_experiment_tagged(prog, workload, rng, None, None, None)
 }
 
-/// [`run_experiment`] with panic provenance `(campaign_seed, index)` and
-/// an optional propagation-trace capture (see [`crate::trace`]). Tracing
+/// The experiment pipeline every driver shares, with panic provenance
+/// `(campaign_seed, index)`, an optional static-discharge plan, and an
+/// optional propagation-trace capture (see [`crate::trace`]). Tracing
 /// never changes the experiment result: the capture only observes.
 pub(crate) fn run_experiment_tagged(
     prog: &Prepared,
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
     provenance: Option<(u64, usize)>,
+    prune: Option<&PrunePlan>,
     mut capture: Option<&mut TraceCapture>,
 ) -> Result<Experiment, CampaignError> {
     // Draw the input OUTSIDE the isolated body: a panicking experiment
@@ -178,7 +332,7 @@ pub(crate) fn run_experiment_tagged(
     // via run_study or any shard partition.
     let input = rng.gen_range(0..workload.num_inputs().max(1));
     let body = std::panic::AssertUnwindSafe(|| {
-        run_experiment_body(prog, workload, rng, input, capture.as_deref_mut())
+        run_experiment_body(prog, workload, rng, input, prune, capture.as_deref_mut())
     });
     match std::panic::catch_unwind(body) {
         Ok(result) => result,
@@ -222,53 +376,65 @@ fn run_experiment_body(
     workload: &dyn Workload,
     rng: &mut ChaCha8Rng,
     input: u64,
-    mut capture: Option<&mut TraceCapture>,
+    prune: Option<&PrunePlan>,
+    capture: Option<&mut TraceCapture>,
 ) -> Result<Experiment, CampaignError> {
-    if prog.model.is_engine_model() {
-        return run_experiment_engine(prog, workload, rng, input, capture);
-    }
-    // --- Golden run -------------------------------------------------------
-    // When tracing, the golden run records the architectural event stream
-    // (stores, branch decisions, return value) the faulty run will be
-    // compared against. The sink only observes, so traced and untraced
-    // experiments are bit-identical.
-    let mut golden_tracer = capture.is_some().then(vexec::DivergenceTracer::record);
-    let mut interp = Interp::new(&prog.module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if let Some(t) = golden_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    let mut golden_host = VulfiHost::profile();
-    let golden = interp
-        .run(&prog.entry, &setup.args, &mut golden_host)
-        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
-    let golden_out = snapshot_outputs(&interp.mem, &setup.outputs, &golden.ret)
-        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
-    let n_sites = golden_host.dynamic_sites;
-
-    if n_sites == 0 {
-        // Nothing to inject into under this category for this input.
-        if let Some(cap) = capture.as_deref_mut() {
+    let want = Extras {
+        site_log: prune.is_some(),
+        events: capture.is_some(),
+    };
+    let golden = prog.golden(workload, input, want)?;
+    let n_targets = golden.targets(prog.model);
+    let mut record = Experiment {
+        outcome: Outcome::Benign,
+        detected: false,
+        injection: None,
+        input,
+        dynamic_sites: n_targets,
+        golden_dyn_insts: golden.dyn_insts,
+    };
+    if n_targets == 0 {
+        // Nothing to inject into under this category/model for this
+        // input.
+        if let Some(cap) = capture {
             *cap = TraceCapture::default();
         }
-        return Ok(Experiment {
-            outcome: Outcome::Benign,
-            detected: false,
-            injection: None,
-            input,
-            dynamic_sites: 0,
-            golden_dyn_insts: golden.dyn_insts,
-        });
+        return Ok(record);
+    }
+    let target = rng.gen_range(1..=n_targets);
+    let bit_entropy: u64 = rng.gen();
+
+    if let Some(plan) = prune {
+        // Replay the single-bit flip's `bit = entropy % width` choice
+        // against the golden site log; a coordinate the plan proves
+        // benign is discharged without running. The record carries no
+        // injection: nothing was executed.
+        let &(site, lane) = golden
+            .site_log
+            .as_ref()
+            .and_then(|log| log.get((target - 1) as usize))
+            .ok_or_else(|| CampaignError(format!("golden site log misses target {target}")))?;
+        let width = plan.width(site).unwrap_or(64).max(1);
+        if plan.is_benign(site, lane, (bit_entropy % width as u64) as u32) {
+            return Ok(record);
+        }
     }
 
     // --- Faulty run -------------------------------------------------------
-    let target = rng.gen_range(1..=n_sites);
-    let bit_entropy: u64 = rng.gen();
-    let mut faulty_tracer = golden_tracer
-        .take()
-        .map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
+    // Value models corrupt through the instrumented host; engine models
+    // (mask registers, address lines, memory cells) through an
+    // `EngineInjector` on the interpreter, with the host still serving
+    // detector checks. Both use the same (target, entropy) draws.
+    let engine_model = prog.model.engine_model();
+    let mut injector = engine_model.map(|m| vexec::EngineInjector::inject(m, target, bit_entropy));
+    let mut host = match engine_model {
+        Some(_) => VulfiHost::profile(),
+        None => VulfiHost::inject_model(target, bit_entropy, prog.model),
+    };
+    let mut tracer = capture
+        .as_ref()
+        .and(golden.events.clone())
+        .map(vexec::DivergenceTracer::compare);
     let mut interp = Interp::new(&prog.module);
     interp.set_budget(
         golden
@@ -276,9 +442,7 @@ fn run_experiment_body(
             .saturating_mul(prog.limits.hang_factor)
             .saturating_add(prog.limits.hang_slack),
     );
-    let setup2 = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
+    let setup = setup(workload, &mut interp, input)?;
     // Ceilings go on after setup: workload-provided buffers are
     // legitimate; the ceilings bound what the *faulted program* does.
     if prog.limits.wall_ms > 0 {
@@ -287,28 +451,52 @@ fn run_experiment_body(
     if prog.limits.mem_bytes > 0 {
         interp.set_memory_limit(prog.limits.mem_bytes);
     }
-    if let Some(t) = faulty_tracer.as_mut() {
+    if let Some(t) = tracer.as_mut() {
         interp.set_trace_sink(t);
     }
-    let mut host = VulfiHost::inject_model(target, bit_entropy, prog.model);
-    let result = interp.run(&prog.entry, &setup2.args, &mut host);
+    if let Some(inj) = injector.as_mut() {
+        interp.set_engine_injector(inj);
+    }
+    let result = interp.run(&prog.entry, &setup.args, &mut host);
     let faulty_dyn_insts = interp.executed();
-
-    let (outcome, detected) = match &result {
+    record.outcome = match &result {
         Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
-        Err(_) => (Outcome::Crash, host.detectors.detected()),
+        Err(_) => Outcome::Crash,
         Ok(r) => {
-            let out = snapshot_outputs(&interp.mem, &setup2.outputs, &r.ret)
+            let out = snapshot_outputs(&interp.mem, &setup.outputs, &r.ret)
                 .map_err(|t| CampaignError(format!("faulty snapshot failed: {t}")))?;
-            if out == golden_out {
-                (Outcome::Benign, host.detectors.detected())
+            if out == golden.outputs {
+                Outcome::Benign
             } else {
-                (Outcome::Sdc, host.detectors.detected())
+                Outcome::Sdc
             }
         }
     };
+    drop(interp);
+    record.detected = host.detectors.detected();
+
+    // Engine faults have no static site or lane; site_id 0 marks the
+    // synthetic provenance, occurrence is the index in the event census.
+    let injected_at = match injector.and_then(|i| i.injection()) {
+        Some(inj) => {
+            record.injection = Some(InjectionRecord {
+                site_id: 0,
+                lane: 0,
+                occurrence: inj.event,
+                bit: inj.bit,
+                bits_before: inj.bits_before,
+                bits_after: inj.bits_after,
+                model: prog.model,
+            });
+            Some(inj.at_dyn_inst)
+        }
+        None => {
+            record.injection = host.injection;
+            host.injection_at
+        }
+    };
     if let Some(cap) = capture {
-        let divergence = faulty_tracer.map(|mut t| {
+        let divergence = tracer.and_then(|mut t| {
             // A clean exit that consumed fewer events than golden is a
             // divergence by omission at the end of the run.
             if result.is_ok() {
@@ -317,170 +505,13 @@ fn run_experiment_body(
             t.divergence().map(|d| d.dyn_index)
         });
         *cap = TraceCapture {
-            injected_at: host.injection_at,
-            divergence: divergence.flatten(),
+            injected_at,
+            divergence,
             faulty_dyn_insts,
             trap: result.as_ref().err().map(|t| t.to_string()),
         };
     }
-    Ok(Experiment {
-        outcome,
-        detected,
-        injection: host.injection,
-        input,
-        dynamic_sites: n_sites,
-        golden_dyn_insts: golden.dyn_insts,
-    })
-}
-
-/// Experiment body for the engine-level fault models (mask corruption,
-/// address lines, memory cells): the corruption targets interpreter state
-/// the instrumented `vulfi.inject` API never sees, so it is applied by a
-/// [`vexec::EngineInjector`] installed on the interpreter instead of by
-/// the host. The RNG draw order is identical to the value-model path
-/// (target, then bit entropy), with the model's own event census as the
-/// target denominator:
-///
-/// - mask corruption: masked-intrinsic executions (counted in the golden
-///   run by a passive injector);
-/// - address lines: guarded memory accesses (same);
-/// - memory cells: golden dynamic instructions (no census run needed).
-fn run_experiment_engine(
-    prog: &Prepared,
-    workload: &dyn Workload,
-    rng: &mut ChaCha8Rng,
-    input: u64,
-    mut capture: Option<&mut TraceCapture>,
-) -> Result<Experiment, CampaignError> {
-    let engine_model = match prog.model {
-        FaultModel::MaskCorrupt => vexec::EngineModel::MaskCorrupt,
-        FaultModel::AddressLine { bit } => vexec::EngineModel::AddressLine { bit },
-        FaultModel::MemoryCell => vexec::EngineModel::MemoryCell,
-        other => {
-            return Err(CampaignError(format!(
-                "{other} is not an engine-level fault model"
-            )))
-        }
-    };
-
-    // --- Golden run -------------------------------------------------------
-    let mut golden_tracer = capture.is_some().then(vexec::DivergenceTracer::record);
-    let mut counter = vexec::EngineInjector::count(engine_model);
-    let mut interp = Interp::new(&prog.module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if let Some(t) = golden_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    interp.set_engine_injector(&mut counter);
-    let mut golden_host = VulfiHost::profile();
-    let golden = interp
-        .run(&prog.entry, &setup.args, &mut golden_host)
-        .map_err(|t| CampaignError(format!("golden run of {} trapped: {t}", workload.name())))?;
-    let golden_out = snapshot_outputs(&interp.mem, &setup.outputs, &golden.ret)
-        .map_err(|t| CampaignError(format!("golden snapshot failed: {t}")))?;
-    drop(interp);
-    let n_events = match engine_model {
-        vexec::EngineModel::MemoryCell => golden.dyn_insts,
-        _ => counter.events(),
-    };
-
-    if n_events == 0 {
-        // The model's event census is empty for this input (e.g. no
-        // masked intrinsics execute): nothing to corrupt.
-        if let Some(cap) = capture.as_deref_mut() {
-            *cap = TraceCapture::default();
-        }
-        return Ok(Experiment {
-            outcome: Outcome::Benign,
-            detected: false,
-            injection: None,
-            input,
-            dynamic_sites: 0,
-            golden_dyn_insts: golden.dyn_insts,
-        });
-    }
-
-    // --- Faulty run -------------------------------------------------------
-    let target = rng.gen_range(1..=n_events);
-    let bit_entropy: u64 = rng.gen();
-    let mut faulty_tracer = golden_tracer
-        .take()
-        .map(|t| vexec::DivergenceTracer::compare(t.into_stream()));
-    let mut injector = vexec::EngineInjector::inject(engine_model, target, bit_entropy);
-    let mut interp = Interp::new(&prog.module);
-    interp.set_budget(
-        golden
-            .dyn_insts
-            .saturating_mul(prog.limits.hang_factor)
-            .saturating_add(prog.limits.hang_slack),
-    );
-    let setup2 = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-    if prog.limits.wall_ms > 0 {
-        interp.set_wall_limit(std::time::Duration::from_millis(prog.limits.wall_ms));
-    }
-    if prog.limits.mem_bytes > 0 {
-        interp.set_memory_limit(prog.limits.mem_bytes);
-    }
-    if let Some(t) = faulty_tracer.as_mut() {
-        interp.set_trace_sink(t);
-    }
-    interp.set_engine_injector(&mut injector);
-    // The host still serves detector checks; it never injects.
-    let mut host = VulfiHost::profile();
-    let result = interp.run(&prog.entry, &setup2.args, &mut host);
-    let faulty_dyn_insts = interp.executed();
-
-    let (outcome, detected) = match &result {
-        Err(Trap::HostError(m)) => return Err(CampaignError(format!("runtime bug: {m}"))),
-        Err(_) => (Outcome::Crash, host.detectors.detected()),
-        Ok(r) => {
-            let out = snapshot_outputs(&interp.mem, &setup2.outputs, &r.ret)
-                .map_err(|t| CampaignError(format!("faulty snapshot failed: {t}")))?;
-            if out == golden_out {
-                (Outcome::Benign, host.detectors.detected())
-            } else {
-                (Outcome::Sdc, host.detectors.detected())
-            }
-        }
-    };
-    drop(interp);
-    if let Some(cap) = capture {
-        let divergence = faulty_tracer.map(|mut t| {
-            if result.is_ok() {
-                t.finish(faulty_dyn_insts);
-            }
-            t.divergence().map(|d| d.dyn_index)
-        });
-        *cap = TraceCapture {
-            injected_at: injector.injection().map(|i| i.at_dyn_inst),
-            divergence: divergence.flatten(),
-            faulty_dyn_insts,
-            trap: result.as_ref().err().map(|t| t.to_string()),
-        };
-    }
-    // Engine faults have no static site or lane; site_id 0 marks the
-    // synthetic provenance, occurrence is the index in the event census.
-    let injection = injector.injection().map(|inj| InjectionRecord {
-        site_id: 0,
-        lane: 0,
-        occurrence: inj.event,
-        bit: inj.bit,
-        bits_before: inj.bits_before,
-        bits_after: inj.bits_after,
-        model: prog.model,
-    });
-    Ok(Experiment {
-        outcome,
-        detected,
-        injection,
-        input,
-        dynamic_sites: n_events,
-        golden_dyn_insts: golden.dyn_insts,
-    })
+    Ok(record)
 }
 
 /// Aggregate outcome counts.
@@ -590,34 +621,52 @@ pub fn run_experiment_range(
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
+    run_range(prog, workload, campaign_seed, range, None)
+}
+
+fn run_range(
+    prog: &Prepared,
+    workload: &dyn Workload,
+    campaign_seed: u64,
+    range: std::ops::Range<usize>,
+    prune: Option<&PrunePlan>,
+) -> Result<Vec<Experiment>, CampaignError> {
     range
         .map(|i| {
             let mut rng = experiment_rng(campaign_seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((campaign_seed, i)), None)
+            run_experiment_tagged(
+                prog,
+                workload,
+                &mut rng,
+                Some((campaign_seed, i)),
+                prune,
+                None,
+            )
         })
         .collect()
 }
 
-/// Per-input golden census used by the campaign pruner: the ordered
-/// `(site_id, lane)` sequence of dynamic fault sites, exactly as the
-/// runtime counts them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputCensus {
-    pub golden_dyn_insts: u64,
-    pub trace: Vec<(u32, u32)>,
-}
-
-/// Everything [`run_experiment_range_pruned`] needs to predict an
-/// experiment's injection coordinate without running it: the static
-/// benign-coordinate plan plus one golden census per workload input.
+/// What [`run_experiment_range_pruned`] needs beyond the golden cache:
+/// the static benign-coordinate plan. The per-input `(site, lane)` logs
+/// the plan is replayed against live in the [`Prepared`]'s golden cache.
 #[derive(Debug, Clone)]
 pub struct PruneContext {
     pub plan: PrunePlan,
-    pub census: Vec<InputCensus>,
 }
 
-/// Build the prune context: analyze the uninstrumented module, then run
-/// one logging golden run per input on the instrumented program.
+fn require_single_bit_flip(prog: &Prepared) -> Result<(), CampaignError> {
+    if prog.model == FaultModel::SingleBitFlip {
+        Ok(())
+    } else {
+        Err(CampaignError(format!(
+            "pruning supports only the single-bit-flip model, not {}",
+            prog.model
+        )))
+    }
+}
+
+/// Build the prune context: analyze the uninstrumented module, then make
+/// sure every input's golden run is cached with its `(site, lane)` log.
 ///
 /// Only the paper's single-bit-flip model is supported: the prediction
 /// replays the model's `bit = entropy % width` choice, and multi-bit or
@@ -626,44 +675,30 @@ pub fn build_prune_context(
     prog: &Prepared,
     workload: &dyn Workload,
 ) -> Result<PruneContext, CampaignError> {
-    if prog.model != FaultModel::SingleBitFlip {
-        return Err(CampaignError(format!(
-            "pruning supports only the single-bit-flip model, not {}",
-            prog.model
-        )));
-    }
+    require_single_bit_flip(prog)?;
     let report = analyze_module(workload.module(), workload.entry()).map_err(CampaignError)?;
-    let plan = PrunePlan::from_report(&report);
-    let mut census = Vec::new();
+    let want = Extras {
+        site_log: true,
+        events: false,
+    };
     for input in 0..workload.num_inputs().max(1) {
-        let mut interp = Interp::new(&prog.module);
-        let setup = workload
-            .setup(&mut interp.mem, input)
-            .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
-        let mut host = VulfiHost::profile_logging();
-        let golden = interp
-            .run(&prog.entry, &setup.args, &mut host)
-            .map_err(|t| {
-                CampaignError(format!("golden run of {} trapped: {t}", workload.name()))
-            })?;
-        census.push(InputCensus {
-            golden_dyn_insts: golden.dyn_insts,
-            trace: host.site_log.take().unwrap_or_default(),
-        });
+        prog.golden(workload, input, want)?;
     }
-    Ok(PruneContext { plan, census })
+    Ok(PruneContext {
+        plan: PrunePlan::from_report(&report),
+    })
 }
 
-/// [`run_experiment_range`] with static pruning: each experiment's RNG
-/// draws are replayed against the golden census to find the coordinate
-/// the injector would corrupt; if the plan proves it benign, a synthetic
+/// [`run_experiment_range`] with static pruning: each experiment's draws
+/// are replayed against the golden site log to find the coordinate the
+/// injector would corrupt; if the plan proves it benign, a synthetic
 /// [`Outcome::Benign`] record is emitted without executing the faulty
-/// run. Every other experiment re-runs exactly as the unpruned driver
-/// would — a fresh RNG reproduces the identical draw sequence, so the
-/// executed subset is bit-identical to a full run. Pruned records carry
-/// `injection: None` (nothing was executed, so there is no corruption to
-/// record); outcome, detection, input, and site counts match what the
-/// full run would have produced.
+/// run. Every other experiment runs exactly as the unpruned driver would
+/// — same RNG stream, same golden — so the executed subset is
+/// bit-identical to a full run. Pruned records carry `injection: None`
+/// (nothing was executed, so there is no corruption to record); outcome,
+/// detection, input, and site counts match what the full run would have
+/// produced.
 pub fn run_experiment_range_pruned(
     prog: &Prepared,
     workload: &dyn Workload,
@@ -671,52 +706,8 @@ pub fn run_experiment_range_pruned(
     campaign_seed: u64,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<Experiment>, CampaignError> {
-    if prog.model != FaultModel::SingleBitFlip {
-        return Err(CampaignError(format!(
-            "pruning supports only the single-bit-flip model, not {}",
-            prog.model
-        )));
-    }
-    range
-        .map(|i| {
-            // Replay the draws on a throwaway RNG; the real run (if any)
-            // recreates its own from scratch so sequences stay identical.
-            let mut probe = experiment_rng(campaign_seed, i);
-            let input = probe.gen_range(0..workload.num_inputs().max(1));
-            let census = ctx
-                .census
-                .get(input as usize)
-                .ok_or_else(|| CampaignError(format!("prune census missing input {input}")))?;
-            let n_sites = census.trace.len() as u64;
-            if n_sites == 0 {
-                return Ok(Experiment {
-                    outcome: Outcome::Benign,
-                    detected: false,
-                    injection: None,
-                    input,
-                    dynamic_sites: 0,
-                    golden_dyn_insts: census.golden_dyn_insts,
-                });
-            }
-            let target = probe.gen_range(1..=n_sites);
-            let bit_entropy: u64 = probe.gen();
-            let (site, lane) = census.trace[(target - 1) as usize];
-            let width = ctx.plan.width(site).unwrap_or(64).max(1);
-            let bit = (bit_entropy % width as u64) as u32;
-            if ctx.plan.is_benign(site, lane, bit) {
-                return Ok(Experiment {
-                    outcome: Outcome::Benign,
-                    detected: false,
-                    injection: None,
-                    input,
-                    dynamic_sites: n_sites,
-                    golden_dyn_insts: census.golden_dyn_insts,
-                });
-            }
-            let mut rng = experiment_rng(campaign_seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((campaign_seed, i)), None)
-        })
-        .collect()
+    require_single_bit_flip(prog)?;
+    run_range(prog, workload, campaign_seed, range, Some(&ctx.plan))
 }
 
 /// Run one campaign of `n` experiments in parallel. `seed` makes the
@@ -731,7 +722,7 @@ pub fn run_campaign(
         .into_par_iter()
         .map(|i| {
             let mut rng = experiment_rng(seed, i);
-            run_experiment_tagged(prog, workload, &mut rng, Some((seed, i)), None)
+            run_experiment_tagged(prog, workload, &mut rng, Some((seed, i)), None, None)
         })
         .collect();
     let experiments = experiments?;
@@ -880,9 +871,7 @@ pub fn measure_dyn_insts(
     input: u64,
 ) -> Result<u64, CampaignError> {
     let mut interp = Interp::new(module);
-    let setup = workload
-        .setup(&mut interp.mem, input)
-        .map_err(|t| CampaignError(format!("setup failed: {t}")))?;
+    let setup = setup(workload, &mut interp, input)?;
     let mut host = VulfiHost::profile();
     let r = interp
         .run(entry, &setup.args, &mut host)

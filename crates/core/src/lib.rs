@@ -67,8 +67,8 @@ pub use analyze::{
 pub use campaign::{
     build_prune_context, campaign_seed, experiment_rng, prepare, prepare_with, run_campaign,
     run_experiment, run_experiment_range, run_experiment_range_pruned, run_study, CampaignError,
-    CampaignResult, Experiment, InputCensus, Outcome, OutcomeCounts, Prepared, PruneContext,
-    ResourceLimits, StudyConfig, StudyResult,
+    CampaignResult, Experiment, Outcome, OutcomeCounts, Prepared, PruneContext, ResourceLimits,
+    StudyConfig, StudyResult,
 };
 pub use fault::{FaultModel, MODEL_KINDS};
 pub use faultlog::{

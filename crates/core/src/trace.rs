@@ -153,8 +153,9 @@ fn build_trace(
 /// [`crate::run_experiment_range`] with per-experiment trace spans.
 ///
 /// The returned experiment list is **bit-identical** to the untraced
-/// function's — tracing adds the golden-run event recording and the
-/// faulty-run comparison, neither of which can affect execution.
+/// function's — tracing adds the golden-run event recording (kept in the
+/// golden cache once an input is first traced) and the faulty-run
+/// comparison, neither of which can affect execution.
 pub fn run_experiment_range_traced(
     prog: &Prepared,
     workload: &dyn Workload,
@@ -172,6 +173,7 @@ pub fn run_experiment_range_traced(
             workload,
             &mut rng,
             Some((campaign_seed, i)),
+            None,
             Some(&mut cap),
         )?;
         let wall_ns = started.elapsed().as_nanos() as u64;

@@ -213,9 +213,10 @@ pub fn run_study_persistent(
         missing.truncate(cap);
     }
 
-    // The prune context (static analysis + per-input active-lane census)
-    // is shared by every shard, and only needed when something will
-    // actually execute — a fully cached study resumes without it.
+    // The prune context (static analysis; building it also caches every
+    // input's golden site log on `prog`) is shared by every shard, and
+    // only needed when something will actually execute — a fully cached
+    // study resumes without it.
     let prune_ctx = if cfg.prune && !missing.is_empty() {
         Some(build_prune_context(prog, workload).map_err(|e| OrchError(e.to_string()))?)
     } else {

@@ -503,14 +503,19 @@ impl StudyStore {
         self.log().append(rec)
     }
 
-    /// All fully-written shard records.
+    /// All fully-written shard records, in canonical `(campaign, start,
+    /// end)` order — never append order, which follows thread scheduling
+    /// when shards run in parallel. Duplicates (a shard re-run after a
+    /// lost lease) stay adjacent, in append order.
     ///
     /// A torn **trailing** line (from a killed run) is skipped, not an
     /// error. Corruption anywhere earlier is an error: silently dropping
     /// it would change merged results without a trace. Run
     /// `vulfi store fsck` to quarantine and recover.
     pub fn shards(&self) -> Result<Vec<ShardRecord>, OrchError> {
-        self.log().records()
+        let mut shards: Vec<ShardRecord> = self.log().records()?;
+        shards.sort_by_key(|s| (s.campaign, s.start, s.end));
+        Ok(shards)
     }
 
     /// Heal a torn trailing line left by a killed writer; called by the

@@ -233,8 +233,7 @@ pub fn spans_from_traces(store: &TraceStore) -> Result<Vec<ChromeSpan>, OrchErro
         if !log.exists() {
             continue;
         }
-        let mut shards = log.shards()?;
-        shards.sort_by_key(|s| (s.campaign, s.start));
+        let shards = log.shards()?;
         if shards.is_empty() {
             continue;
         }

@@ -167,12 +167,15 @@ impl TraceLog {
         self.log().append(shard)
     }
 
-    /// All fully-written trace shards. A torn trailing line is skipped;
-    /// earlier corruption is an error pointing at `vulfi trace fsck` —
-    /// a summary computed over silently-dropped spans would be skewed
-    /// without a trace.
+    /// All fully-written trace shards, in canonical `(campaign, start,
+    /// end)` order like [`crate::StudyStore::shards`]. A torn trailing
+    /// line is skipped; earlier corruption is an error pointing at
+    /// `vulfi trace fsck` — a summary computed over silently-dropped
+    /// spans would be skewed without a trace.
     pub fn shards(&self) -> Result<Vec<TraceShard>, OrchError> {
-        self.log().records()
+        let mut shards: Vec<TraceShard> = self.log().records()?;
+        shards.sort_by_key(|s| (s.campaign, s.start, s.end));
+        Ok(shards)
     }
 
     /// Heal a torn trailing line left by a killed writer; called by the

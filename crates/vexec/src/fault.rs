@@ -18,8 +18,10 @@
 //! instruction-step paths. With no injector installed the hooks cost a
 //! single `Option` test, preserving the default model's bit-identical
 //! behaviour. In **counting mode** (`target == 0`) the injector only
-//! tallies its model's event census — golden runs use this to size the
-//! target distribution — and never perturbs execution.
+//! tallies event censuses — golden runs use this to size the target
+//! distribution — and never perturbs execution. Every injector tallies
+//! the censuses of *all* models ([`EngineCensus`]), so one golden run
+//! sizes the target distribution of whichever model a faulty run uses.
 
 use crate::mem::Memory;
 use crate::value::{RtVal, Scalar};
@@ -59,15 +61,24 @@ pub struct EngineInjection {
     pub addr: u64,
 }
 
-/// One experiment's engine-fault state: counts the model's events and,
-/// in inject mode, corrupts exactly the target-th one.
+/// Event tallies of every engine model's census, as seen by one run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCensus {
+    /// Masked-intrinsic executions ([`EngineModel::MaskCorrupt`]).
+    pub masked_ops: u64,
+    /// Guarded memory accesses ([`EngineModel::AddressLine`]).
+    pub mem_accesses: u64,
+}
+
+/// One experiment's engine-fault state: counts every model's events and,
+/// in inject mode, corrupts exactly the target-th event of its model.
 #[derive(Debug)]
 pub struct EngineInjector {
     model: EngineModel,
     /// 1-based target event; 0 = count-only.
     target: u64,
     entropy: u64,
-    events: u64,
+    census: EngineCensus,
     injection: Option<EngineInjection>,
 }
 
@@ -79,7 +90,7 @@ impl EngineInjector {
             model,
             target: 0,
             entropy: 0,
-            events: 0,
+            census: EngineCensus::default(),
             injection: None,
         }
     }
@@ -91,14 +102,25 @@ impl EngineInjector {
             model,
             target: target.max(1),
             entropy,
-            events: 0,
+            census: EngineCensus::default(),
             injection: None,
         }
     }
 
-    /// Events of this model's census seen so far.
+    /// Events of this model's census seen so far (always 0 for
+    /// [`EngineModel::MemoryCell`], whose census is the instruction
+    /// clock).
     pub fn events(&self) -> u64 {
-        self.events
+        match self.model {
+            EngineModel::MaskCorrupt => self.census.masked_ops,
+            EngineModel::AddressLine { .. } => self.census.mem_accesses,
+            EngineModel::MemoryCell => 0,
+        }
+    }
+
+    /// Every model's census seen so far.
+    pub fn census(&self) -> EngineCensus {
+        self.census
     }
 
     /// The corruption applied, once it has happened.
@@ -109,17 +131,17 @@ impl EngineInjector {
     /// Hook: a guarded memory access is about to use `addr`. Returns
     /// the (possibly corrupted) address.
     pub fn on_mem_access(&mut self, at_dyn_inst: u64, addr: u64) -> u64 {
+        self.census.mem_accesses += 1;
         let EngineModel::AddressLine { bit } = self.model else {
             return addr;
         };
-        self.events += 1;
-        if self.target == 0 || self.events != self.target || self.injection.is_some() {
+        if self.target == 0 || self.events() != self.target || self.injection.is_some() {
             return addr;
         }
         let bit = bit % 64;
         let flipped = addr ^ (1u64 << bit);
         self.injection = Some(EngineInjection {
-            event: self.events,
+            event: self.events(),
             at_dyn_inst,
             bit,
             bits_before: addr,
@@ -132,11 +154,11 @@ impl EngineInjector {
     /// Hook: a masked intrinsic is about to use `mask`. Returns the
     /// (possibly corrupted) mask register.
     pub fn on_mask(&mut self, at_dyn_inst: u64, mask: &RtVal) -> RtVal {
+        self.census.masked_ops += 1;
         if self.model != EngineModel::MaskCorrupt {
             return mask.clone();
         }
-        self.events += 1;
-        if self.target == 0 || self.events != self.target || self.injection.is_some() {
+        if self.target == 0 || self.events() != self.target || self.injection.is_some() {
             return mask.clone();
         }
         let lanes = mask.lanes();
@@ -164,7 +186,7 @@ impl EngineInjector {
             .collect();
         let after = packed(&corrupted);
         self.injection = Some(EngineInjection {
-            event: self.events,
+            event: self.events(),
             at_dyn_inst,
             bit: (before ^ after).trailing_zeros() % 64,
             bits_before: before,
@@ -214,9 +236,17 @@ mod tests {
         let mask = RtVal::from_lanes(ScalarTy::I32, [Scalar::i32(-1), Scalar::i32(0)]);
         assert_eq!(inj.on_mask(1, &mask), mask);
         assert_eq!(inj.events(), 1);
-        // Off-model hooks don't count toward the census.
+        // Off-model hooks don't count toward the model's census, only
+        // toward the all-model tally.
         assert_eq!(inj.on_mem_access(2, 7), 7);
         assert_eq!(inj.events(), 1);
+        assert_eq!(
+            inj.census(),
+            EngineCensus {
+                masked_ops: 1,
+                mem_accesses: 1
+            }
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod profile;
 pub mod trace;
 pub mod value;
 
-pub use fault::{EngineInjection, EngineInjector, EngineModel};
+pub use fault::{EngineCensus, EngineInjection, EngineInjector, EngineModel};
 pub use interp::{ExecResult, HostEnv, Interp, NoHost};
 pub use mem::{Memory, Trap};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};

@@ -19,6 +19,8 @@
 //! **first architectural divergence**, whose distance from the injection
 //! point is the paper-style propagation profile.
 
+use std::sync::Arc;
+
 /// One architectural event, reported as it retires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -84,8 +86,9 @@ enum TracerMode {
     /// Collect the event fingerprint stream (golden run).
     Record,
     /// Replay against a recorded stream, noting the first mismatch
-    /// (faulty run).
-    Compare { golden: Vec<u64>, cursor: usize },
+    /// (faulty run). The stream is shared: one golden recording serves
+    /// every faulty run of its input.
+    Compare { golden: Arc<[u64]>, cursor: usize },
 }
 
 /// A [`TraceSink`] that records a golden run's event stream, then finds
@@ -110,9 +113,12 @@ impl DivergenceTracer {
 
     /// Faulty-run mode: compare against `golden` (from
     /// [`DivergenceTracer::into_stream`]).
-    pub fn compare(golden: Vec<u64>) -> DivergenceTracer {
+    pub fn compare(golden: impl Into<Arc<[u64]>>) -> DivergenceTracer {
         DivergenceTracer {
-            mode: TracerMode::Compare { golden, cursor: 0 },
+            mode: TracerMode::Compare {
+                golden: golden.into(),
+                cursor: 0,
+            },
             stream: Vec::new(),
             events: 0,
             divergence: None,
