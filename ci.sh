@@ -14,6 +14,11 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 # stay bit-identical. Already part of the workspace run above; kept as
 # an explicit gate so containment regressions fail loudly by name.
 cargo test -q -p vulfi-orch --test chaos
+# Engine parity: the bytecode engine must reproduce the recorded
+# tree-walker byte for byte on every Table I kernel, the micros under all
+# fault models, golden censuses and instruction mixes. Also part of the
+# workspace run; named here so an engine divergence fails by name.
+cargo test -q -p vulfi --test engine_parity
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

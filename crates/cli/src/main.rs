@@ -106,7 +106,7 @@ struct Flags {
     /// Abort the campaign on an engine panic instead of recording a
     /// contained Crash outcome.
     strict: bool,
-    /// `store fsck`: quarantine and rebuild corrupt shard logs.
+    /// `store fsck`: quarantine and rebuild corrupt shard and queue logs.
     repair: bool,
     /// Wall-clock watchdog per faulty run, in milliseconds.
     wall_limit_ms: Option<u64>,
@@ -1801,8 +1801,9 @@ fn print_fsck_report(
     Ok(())
 }
 
-/// `vulfi store fsck`: check every study's shard log; with `--repair`,
-/// quarantine corrupt logs and salvage the intact records.
+/// `vulfi store fsck`: check every study's shard log and the service
+/// job queue; with `--repair`, quarantine corrupt logs and salvage the
+/// intact records.
 fn store_fsck(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
     let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
@@ -1820,7 +1821,7 @@ fn store_fsck(flags: &Flags) -> Result<(), String> {
             if let Ok(ops) = vulfi_orch::OpsLog::open(&flags.store) {
                 let _ = ops.append(vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Fsck).detail(
                     format!(
-                        "store fsck quarantined {} shard log(s): {}",
+                        "store fsck quarantined {} log(s): {}",
                         quarantined.len(),
                         quarantined.join(", ")
                     ),
@@ -1830,9 +1831,9 @@ fn store_fsck(flags: &Flags) -> Result<(), String> {
     }
     if report.needs_repair() && !flags.repair {
         return Err(format!(
-            "corrupt shard log(s) found under {}; re-run with --repair to \
+            "corrupt log(s) found under {}; re-run with --repair to \
              quarantine them and salvage intact records, then resume the \
-             affected studies",
+             affected studies (or restart the service)",
             flags.store
         ));
     }

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use vexec::{Interp, Trap};
+use vexec::{Interp, Program, Trap};
 use vir::analysis::SiteCategory;
 use vir::Module;
 
@@ -116,8 +116,9 @@ impl Default for ResourceLimits {
 /// An instrumented program ready for injection runs.
 ///
 /// A `Prepared` also owns the **golden cache**: one slot per workload
-/// input, filled by the first experiment that draws the input. The cache
-/// assumes the program's module, entry, sites and category — and the
+/// input, filled by the first experiment that draws the input, and the
+/// module's decoded bytecode, filled by the first run. Both caches
+/// assume the program's module, entry, sites and category — and the
 /// workload it was prepared from — stay fixed; `model` and `limits` may
 /// change freely, because no cached fact depends on them.
 pub struct Prepared {
@@ -134,6 +135,9 @@ pub struct Prepared {
     /// Per-input golden runs; sized on first use, so `prepare` does no
     /// extra work.
     golden: OnceLock<Box<[GoldenSlot]>>,
+    /// `module` decoded to register bytecode on first use and shared by
+    /// every golden and faulty run.
+    program: OnceLock<Arc<Program>>,
 }
 
 /// One input's cached golden run. A trap is cached as the error every
@@ -162,6 +166,7 @@ pub fn prepare_with(
         limits: ResourceLimits::default(),
         model: FaultModel::default(),
         golden: OnceLock::new(),
+        program: OnceLock::new(),
     })
 }
 
@@ -208,6 +213,14 @@ impl Golden {
 }
 
 impl Prepared {
+    /// A fresh interpreter over the program, decoding it on first use.
+    fn interp(&self) -> Interp<'_> {
+        let program = self
+            .program
+            .get_or_init(|| Arc::new(Program::decode(&self.module)));
+        Interp::with_program(&self.module, Arc::clone(program))
+    }
+
     /// The golden run of `input`, from the cache or run now. Racing
     /// callers on one input wait for a single fill; a caller needing a
     /// log the slot lacks re-runs the golden run keeping every log
@@ -277,7 +290,7 @@ fn golden_run(
     } else {
         VulfiHost::profile()
     };
-    let mut interp = Interp::new(&prog.module);
+    let mut interp = prog.interp();
     let setup = setup(workload, &mut interp, input)?;
     if let Some(t) = tracer.as_mut() {
         interp.set_trace_sink(t);
@@ -435,7 +448,7 @@ fn run_experiment_body(
         .as_ref()
         .and(golden.events.clone())
         .map(vexec::DivergenceTracer::compare);
-    let mut interp = Interp::new(&prog.module);
+    let mut interp = prog.interp();
     interp.set_budget(
         golden
             .dyn_insts

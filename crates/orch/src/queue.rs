@@ -21,7 +21,8 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use vulfi::StudySpec;
 
-use crate::store::CheckedLog;
+use crate::key::StudyKey;
+use crate::store::{CheckedLog, StudyFsck};
 use crate::OrchError;
 
 /// Lifecycle states of a submitted study job.
@@ -106,7 +107,10 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// Open (creating if needed) the queue under `store_root/queue`,
-    /// healing a torn tail left by a killed daemon.
+    /// healing a torn tail left by a killed daemon. Mid-file corruption
+    /// does not make the queue unopenable — [`JobQueue::fsck`] repairs
+    /// through this same handle — but every read stays loud and names
+    /// `vulfi store fsck --repair`.
     pub fn open(store_root: impl AsRef<Path>) -> Result<JobQueue, OrchError> {
         let dir = store_root.as_ref().join("queue");
         std::fs::create_dir_all(&dir)
@@ -118,8 +122,20 @@ impl JobQueue {
                 "vulfi store fsck --repair",
             ),
         };
-        q.log.trim_torn_tail::<QueueEvent>()?;
+        let _ = q.log.trim_torn_tail::<QueueEvent>();
         Ok(q)
+    }
+
+    /// Check the queue log; with `repair`, quarantine a damaged log and
+    /// salvage every checksum-valid event into a fresh one. Jobs keep
+    /// the last state their surviving events give them: a job left
+    /// `Running` is re-queued by [`JobQueue::recover`] when the daemon
+    /// next starts, and its study resumes from the shards already
+    /// stored. A job whose `Submitted` event was lost is gone and must
+    /// be resubmitted.
+    pub fn fsck(&self, repair: bool) -> Result<StudyFsck, OrchError> {
+        self.log
+            .fsck::<QueueEvent>(StudyKey("queue".to_string()), repair)
     }
 
     pub fn path(&self) -> PathBuf {

@@ -41,6 +41,7 @@ use vulfi::{Experiment, StudyConfig};
 
 use crate::crc::crc32;
 use crate::key::StudyKey;
+use crate::queue::JobQueue;
 use crate::OrchError;
 
 /// Study identity + configuration, persisted next to the shard log.
@@ -125,7 +126,8 @@ impl StudyFsck {
     }
 }
 
-/// Store-wide fsck report: one entry per study.
+/// Store-wide fsck report: one entry per checked log (each study's
+/// shard log and, in a service store, the job queue).
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
     pub studies: Vec<StudyFsck>,
@@ -178,11 +180,17 @@ impl Store {
         Ok(keys)
     }
 
-    /// Check (and with `repair`, heal) every study's shard log.
+    /// Check (and with `repair`, heal) every study's shard log, and the
+    /// job queue's log when the store has one (see [`JobQueue::fsck`]).
     pub fn fsck(&self, repair: bool) -> Result<FsckReport, OrchError> {
         let mut report = FsckReport::default();
         for key in self.studies()? {
             report.studies.push(self.study(&key).fsck(repair)?);
+        }
+        if self.root.join("queue").join("events.jsonl").is_file() {
+            report
+                .studies
+                .push(JobQueue::open(&self.root)?.fsck(repair)?);
         }
         Ok(report)
     }

@@ -202,6 +202,26 @@ fn panicking_progress_observer_does_not_lose_the_study() {
 /// Tiny deterministic RNG for the chaos schedule (xorshift64*).
 struct Chaos(u64);
 
+/// Flip one bit of one byte of a log: first draw the line, then the
+/// byte within it. Records carry wall times, so an offset drawn over the
+/// whole file would make which line gets hit — and so whether the flip
+/// is a healable torn tail or mid-file corruption — depend on timing.
+fn flip_a_byte(chaos: &mut Chaos, bytes: &mut [u8]) {
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(
+            bytes
+                .iter()
+                .enumerate()
+                .filter(|&(i, &b)| b == b'\n' && i + 1 < bytes.len())
+                .map(|(i, _)| i + 1),
+        )
+        .collect();
+    let line = chaos.below(starts.len() as u64) as usize;
+    let end = starts.get(line + 1).copied().unwrap_or(bytes.len());
+    let pos = starts[line] + chaos.below((end - starts[line]) as u64) as usize;
+    bytes[pos] ^= 1 << chaos.below(8);
+}
+
 impl Chaos {
     fn next(&mut self) -> u64 {
         let mut x = self.0;
@@ -267,10 +287,7 @@ fn kill_corrupt_fsck_resume_loop_always_converges_bit_identically() {
                         let cut = 1 + chaos.below(40.min(bytes.len() as u64 - 1)) as usize;
                         bytes.truncate(bytes.len() - cut);
                     }
-                    1 => {
-                        let pos = chaos.below(bytes.len() as u64) as usize;
-                        bytes[pos] ^= 1 << chaos.below(8);
-                    }
+                    1 => flip_a_byte(&mut chaos, &mut bytes),
                     _ => {}
                 }
                 std::fs::write(&log, &bytes).unwrap();
@@ -382,6 +399,84 @@ fn ops_log_survives_kill_corrupt_fsck_resume_loop() {
                 let pos = chaos.below(bytes.len() as u64) as usize;
                 bytes[pos] ^= 1 << chaos.below(8);
             }
+            _ => {}
+        }
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    // The deterministic schedule must exercise the quarantine path.
+    assert!(repairs > 0, "chaos schedule never hit the fsck path");
+}
+
+/// The job queue is a CheckedLog like the others: a daemon killed
+/// mid-append leaves a torn tail the next open heals; a flipped byte
+/// stops the next daemon at startup, loudly, naming `vulfi store fsck
+/// --repair` — and the store-wide fsck that command runs quarantines and
+/// salvages the queue, after which startup recovery re-queues whatever
+/// the surviving events left running.
+#[test]
+fn job_queue_survives_kill_corrupt_fsck_resume_loop() {
+    use vulfi::StudySpec;
+    use vulfi_orch::{JobQueue, JobState};
+
+    let root = temp_store("queue");
+    let mut chaos = Chaos(0x0051_ED0C);
+    let mut repairs = 0usize;
+
+    for round in 0..12u64 {
+        // A "new daemon": opening never refuses, startup recovery reads
+        // the whole queue.
+        let queue = JobQueue::open(&root).unwrap();
+        if let Err(e) = queue.recover() {
+            assert!(e.to_string().contains("vulfi store fsck --repair"), "{e}");
+            let report = Store::open(&root).unwrap().fsck(true).unwrap();
+            let q = report
+                .studies
+                .iter()
+                .find(|s| s.key.0 == "queue")
+                .expect("store fsck must cover the queue log");
+            assert!(q.quarantined.is_some(), "repair must quarantine");
+            assert!(!Store::open(&root).unwrap().fsck(false).unwrap().dirty());
+            queue.recover().expect("the daemon must start after repair");
+            repairs += 1;
+        }
+        assert!(
+            queue
+                .jobs()
+                .unwrap()
+                .iter()
+                .all(|j| j.state != JobState::Running),
+            "startup recovery re-queues every orphan"
+        );
+
+        // This daemon runs one job; every other daemon dies before the
+        // job completes.
+        let key = format!("study{round}");
+        let id = queue.submit(&StudySpec::default(), &key, None).unwrap();
+        queue.started(id, &key).unwrap();
+        let finished = round % 2 == 0;
+        if finished {
+            queue.completed(id).unwrap();
+        }
+        let job = queue
+            .jobs()
+            .unwrap()
+            .into_iter()
+            .find(|j| j.id == id)
+            .expect("a fresh submit must fold");
+        let want = if finished {
+            JobState::Completed
+        } else {
+            JobState::Running
+        };
+        assert_eq!(job.state, want);
+
+        // Chaos: torn trailing append (killed daemon), a flipped byte,
+        // or nothing.
+        let path = queue.path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        match chaos.below(3) {
+            0 => bytes.extend_from_slice(b"\n{\"job\":99,\"kind\":\"Subm"),
+            1 => flip_a_byte(&mut chaos, &mut bytes),
             _ => {}
         }
         std::fs::write(&path, &bytes).unwrap();

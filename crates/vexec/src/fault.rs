@@ -23,8 +23,10 @@
 //! the censuses of *all* models ([`EngineCensus`]), so one golden run
 //! sizes the target distribution of whichever model a faulty run uses.
 
+use vir::ScalarTy;
+
 use crate::mem::Memory;
-use crate::value::{RtVal, Scalar};
+use crate::value::Scalar;
 
 /// Which engine state the injector corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,40 +153,36 @@ impl EngineInjector {
         flipped
     }
 
-    /// Hook: a masked intrinsic is about to use `mask`. Returns the
-    /// (possibly corrupted) mask register.
-    pub fn on_mask(&mut self, at_dyn_inst: u64, mask: &RtVal) -> RtVal {
+    /// Hook: a masked intrinsic is about to use the mask register
+    /// `lanes` (bit patterns of element type `elem`). Corrupts it in
+    /// place when this is the target event.
+    pub fn on_mask_lanes(&mut self, at_dyn_inst: u64, elem: ScalarTy, lanes: &mut [u64]) {
         self.census.masked_ops += 1;
-        if self.model != EngineModel::MaskCorrupt {
-            return mask.clone();
+        if self.model != EngineModel::MaskCorrupt
+            || self.target == 0
+            || self.events() != self.target
+            || self.injection.is_some()
+            || lanes.is_empty()
+        {
+            return;
         }
-        if self.target == 0 || self.events() != self.target || self.injection.is_some() {
-            return mask.clone();
-        }
-        let lanes = mask.lanes();
-        if lanes.is_empty() {
-            return mask.clone();
-        }
-        let elem = lanes[0].ty;
-        let packed = |ls: &[Scalar]| -> u64 {
+        let packed = |ls: &[u64]| -> u64 {
             ls.iter()
                 .enumerate()
-                .filter(|(_, s)| s.mask_active())
+                .filter(|(_, &bits)| Scalar { ty: elem, bits }.mask_active())
                 .fold(0u64, |acc, (i, _)| acc | (1u64 << (i as u64 & 63)))
         };
-        let before = packed(&lanes);
+        let before = packed(lanes);
         // Lane i is active iff entropy bit i is set; active lanes get the
         // all-ones pattern (ISPC's "on" mask), inactive lanes zero.
-        let corrupted: Vec<Scalar> = (0..lanes.len())
-            .map(|i| {
-                if (self.entropy >> (i as u64 & 63)) & 1 == 1 {
-                    Scalar::new(elem, elem.bit_mask())
-                } else {
-                    Scalar::new(elem, 0)
-                }
-            })
-            .collect();
-        let after = packed(&corrupted);
+        for (i, b) in lanes.iter_mut().enumerate() {
+            *b = if (self.entropy >> (i as u64 & 63)) & 1 == 1 {
+                elem.bit_mask()
+            } else {
+                0
+            };
+        }
+        let after = packed(lanes);
         self.injection = Some(EngineInjection {
             event: self.events(),
             at_dyn_inst,
@@ -193,7 +191,6 @@ impl EngineInjector {
             bits_after: after,
             addr: 0,
         });
-        RtVal::from_lanes(elem, corrupted)
     }
 
     /// Hook: the dynamic instruction clock advanced to `at_dyn_inst`.
@@ -222,7 +219,14 @@ impl EngineInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vir::ScalarTy;
+
+    /// `-1` / `0` i32 mask lanes.
+    fn mask(active: &[bool]) -> Vec<u64> {
+        active
+            .iter()
+            .map(|&on| Scalar::i32(if on { -1 } else { 0 }).bits)
+            .collect()
+    }
 
     #[test]
     fn counting_mode_never_perturbs() {
@@ -233,8 +237,9 @@ mod tests {
         assert!(inj.injection().is_none());
 
         let mut inj = EngineInjector::count(EngineModel::MaskCorrupt);
-        let mask = RtVal::from_lanes(ScalarTy::I32, [Scalar::i32(-1), Scalar::i32(0)]);
-        assert_eq!(inj.on_mask(1, &mask), mask);
+        let mut lanes = mask(&[true, false]);
+        inj.on_mask_lanes(1, ScalarTy::I32, &mut lanes);
+        assert_eq!(lanes, mask(&[true, false]));
         assert_eq!(inj.events(), 1);
         // Off-model hooks don't count toward the model's census, only
         // toward the all-model tally.
@@ -265,24 +270,17 @@ mod tests {
     fn mask_corrupt_rewrites_lanes_from_entropy() {
         // Entropy 0b0101: lanes 0 and 2 active after corruption.
         let mut inj = EngineInjector::inject(EngineModel::MaskCorrupt, 1, 0b0101);
-        let mask = RtVal::from_lanes(
-            ScalarTy::I32,
-            [
-                Scalar::i32(-1),
-                Scalar::i32(-1),
-                Scalar::i32(0),
-                Scalar::i32(0),
-            ],
-        );
-        let out = inj.on_mask(5, &mask);
-        let active: Vec<bool> = out.lanes().iter().map(|s| s.mask_active()).collect();
-        assert_eq!(active, [true, false, true, false]);
+        let mut lanes = mask(&[true, true, false, false]);
+        inj.on_mask_lanes(5, ScalarTy::I32, &mut lanes);
+        assert_eq!(lanes, mask(&[true, false, true, false]));
         let rec = inj.injection().unwrap();
         assert_eq!(rec.bits_before, 0b0011);
         assert_eq!(rec.bits_after, 0b0101);
         assert_eq!(rec.bit, 1, "lowest differing lane");
         // Subsequent masks pass through.
-        assert_eq!(inj.on_mask(6, &mask), mask);
+        let mut lanes = mask(&[true, true, false, false]);
+        inj.on_mask_lanes(6, ScalarTy::I32, &mut lanes);
+        assert_eq!(lanes, mask(&[true, true, false, false]));
     }
 
     #[test]

@@ -5,22 +5,26 @@
 //! taxonomy surface as [`Trap`]s: invalid memory references, division by
 //! zero, runaway execution (hang budget), unknown calls.
 //!
+//! The engine runs the module's [`Program`]: flat register bytecode
+//! decoded once (see [`crate::program`]). Registers are dense `u64`
+//! words with vector lanes inline, so no instruction allocates; phis
+//! are per-edge moves; callees were resolved at decode time.
+//!
 //! Host functions — VULFI's runtime injection API, the detector runtime,
 //! and anything else declared but not defined — are dispatched through the
 //! [`HostEnv`] trait, mirroring how an instrumented native binary links
 //! against the fault-injection runtime library.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vir::intrinsics::{self, Intrinsic, MathOp};
-use vir::{
-    BinOp, BlockId, CastOp, FCmpPred, Function, ICmpPred, InstKind, Module, Operand, ScalarTy,
-    Terminator, Type, ValueId,
-};
+use vir::intrinsics::{Intrinsic, MathOp};
+use vir::{BinOp, CastOp, FCmpPred, ICmpPred, Module, ScalarTy};
 
 use crate::fault::EngineInjector;
 use crate::mem::{Memory, Trap};
-use crate::profile::{HotLoc, HotProfile, InstMix};
+use crate::profile::{HotProfile, InstMix};
+use crate::program::{Active, Callee, Edge, Func, Meta, Op, Program, Val};
 use crate::trace::{fold_bits, TraceEvent, TraceSink};
 use crate::value::{RtVal, Scalar};
 
@@ -58,31 +62,73 @@ const MAX_DEPTH: usize = 64;
 /// runaway loop overshoots its deadline by microseconds, not seconds.
 const WALL_CHECK_MASK: u64 = (1 << 13) - 1;
 
+/// Host-call arguments built on the stack (instrumented injection sites
+/// pass four scalars).
+const INLINE_ARGS: usize = 4;
+
+/// Where a called function's arguments come from.
+enum ArgSrc<'a> {
+    /// The entry call's runtime values.
+    Values(&'a [RtVal]),
+    /// A call site's operands in the caller's frame.
+    Regs(&'a [u64], &'a [Val]),
+}
+
+impl ArgSrc<'_> {
+    fn len(&self) -> usize {
+        match self {
+            ArgSrc::Values(v) => v.len(),
+            ArgSrc::Regs(_, a) => a.len(),
+        }
+    }
+}
+
 /// The interpreter. One instance executes programs from one module.
 pub struct Interp<'m> {
     pub module: &'m Module,
     pub mem: Memory,
+    program: Arc<Program>,
     budget: u64,
     executed: u64,
     deadline: Option<Instant>,
     mix: Option<InstMix>,
     hot: Option<HotProfile>,
+    /// Either profiler is on: every retired instruction is noted.
+    observed: bool,
     trace: Option<&'m mut dyn TraceSink>,
     fault: Option<&'m mut EngineInjector>,
+    /// Frame buffers by call depth, reused across calls.
+    frames: Vec<Vec<u64>>,
+    /// Scratch words for parallel phi copies and corrupted masks.
+    scratch: Vec<u64>,
 }
 
 impl<'m> Interp<'m> {
+    /// An interpreter over `module`, decoding it first. Callers that run
+    /// one module many times decode once with [`Program::decode`] and
+    /// use [`Interp::with_program`].
     pub fn new(module: &'m Module) -> Interp<'m> {
+        Interp::with_program(module, Arc::new(Program::decode(module)))
+    }
+
+    /// An interpreter running `program`, which must have been decoded
+    /// from `module`.
+    pub fn with_program(module: &'m Module, program: Arc<Program>) -> Interp<'m> {
+        debug_assert_eq!(program.funcs.len(), module.functions.len());
         Interp {
             module,
             mem: Memory::default(),
+            program,
             budget: u64::MAX / 2,
             executed: 0,
             deadline: None,
             mix: None,
             hot: None,
+            observed: false,
             trace: None,
             fault: None,
+            frames: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -105,14 +151,6 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Route a masked-intrinsic mask register through the engine
-    /// injector. `None` when no injector is installed (use the original
-    /// mask, avoiding a clone on the default path).
-    fn fault_mask(&mut self, mask: &RtVal) -> Option<RtVal> {
-        let inj = self.fault.as_deref_mut()?;
-        Some(inj.on_mask(self.executed, mask))
-    }
-
     /// Install an architectural-event observer (see [`crate::trace`]).
     ///
     /// The sink only observes; execution, results, and dynamic
@@ -132,6 +170,7 @@ impl<'m> Interp<'m> {
     /// Enable dynamic instruction-mix profiling (Table I / Fig. 10 style
     /// dynamic composition). Adds per-instruction bookkeeping cost.
     pub fn enable_profiling(&mut self) {
+        self.observable();
         self.mix = Some(InstMix::default());
     }
 
@@ -146,7 +185,16 @@ impl<'m> Interp<'m> {
     /// mix and the trace sink, the hooks are purely observational —
     /// execution stays bit-identical (property-tested below).
     pub fn enable_hotspots(&mut self) {
+        self.observable();
         self.hot = Some(HotProfile::default());
+    }
+
+    /// Switch to a program carrying profiling metadata (shared programs
+    /// are decoded without it).
+    fn observable(&mut self) {
+        if !self.program.observable {
+            self.program = Arc::new(Program::decode_observable(self.module));
+        }
     }
 
     /// Take the collected hotspot profile (trailing partial wall-time
@@ -157,90 +205,35 @@ impl<'m> Interp<'m> {
         Some(h)
     }
 
-    fn note_inst(&mut self, f: &Function, frame: &[Option<RtVal>], iid: vir::InstId) {
-        if self.mix.is_none() && self.hot.is_none() {
-            return;
-        }
-        let inst = f.inst(iid);
+    /// Record one retired instruction with the profilers.
+    #[cold]
+    #[inline(never)]
+    fn note(&mut self, fi: usize, f: &Func, m: &Meta, regs: &[u64]) {
         if let Some(hot) = &mut self.hot {
-            hot.record(
-                f as *const Function as usize,
-                &f.name,
-                HotLoc::Inst(iid.0),
-                inst.opcode(),
-            );
+            hot.record(fi, &f.name, m.loc, m.opcode);
         }
-        if self.mix.is_none() {
+        let Some(mix) = &mut self.mix else {
             return;
-        }
-        let width = inst
-            .operands()
-            .iter()
-            .map(|op| f.operand_type(op).lanes())
-            .chain(std::iter::once(inst.ty.lanes()))
-            .max()
-            .unwrap_or(1);
-        let is_vec = inst.ty.is_vector()
-            || inst
-                .operands()
-                .iter()
-                .any(|op| f.operand_type(op).is_vector());
-        if !is_vec {
-            self.mix.as_mut().unwrap().record(inst.opcode(), false);
+        };
+        if !m.vector {
+            mix.record(m.opcode, false);
             return;
         }
         // Active-lane count: masked memory ops consult their mask operand
-        // and vector selects their condition; everything else executes all
-        // lanes. An unevaluable mask (never in verified IR) falls back to
-        // full width rather than perturbing execution.
-        let active = self
-            .active_lanes(f, frame, &inst.kind)
-            .unwrap_or(width)
-            .min(width);
-        self.mix
-            .as_mut()
-            .unwrap()
-            .record_vector_lanes(inst.opcode(), active, width);
-    }
-
-    /// How many lanes of a vector instruction are architecturally live,
-    /// or `None` when the instruction is unconditionally full-width (or
-    /// its mask cannot be read). Purely observational: evaluates already
-    /// computed operands, never memory or side effects.
-    fn active_lanes(&self, f: &Function, frame: &[Option<RtVal>], kind: &InstKind) -> Option<u32> {
-        let count_mask = |op: &Operand, lanes: u32| -> Option<u32> {
-            let m = self.eval_operand(f, frame, op).ok()?;
-            let n = (lanes as usize).min(m.num_lanes());
-            Some((0..n).filter(|&i| m.lane(i).mask_active()).count() as u32)
+        // (sign bits) and vector selects their condition (bit 0, the
+        // select semantics); everything else executes all lanes.
+        let active = match m.active {
+            Active::Full => m.width,
+            Active::Mask { mask } => lanes(regs, mask)
+                .iter()
+                .filter(|&&bits| Scalar { ty: mask.ty, bits }.mask_active())
+                .count() as u32,
+            Active::Cond { cond, n } => regs[cond as usize..][..n as usize]
+                .iter()
+                .filter(|&&b| b & 1 == 1)
+                .count() as u32,
         };
-        match kind {
-            InstKind::Call { callee, args } => match intrinsics::parse(callee)? {
-                Intrinsic::MaskLoad { lanes, .. } => count_mask(args.get(1)?, lanes),
-                Intrinsic::MaskStore { lanes, .. } => count_mask(args.get(1)?, lanes),
-                _ => None,
-            },
-            InstKind::Select { cond, .. } if f.operand_type(cond).is_vector() => {
-                // Select semantics test lane bit 0 (see `exec_inst`), not
-                // the sign bit the AVX mask convention uses.
-                let c = self.eval_operand(f, frame, cond).ok()?;
-                Some(c.lanes().iter().filter(|s| s.bits & 1 == 1).count() as u32)
-            }
-            _ => None,
-        }
-    }
-
-    fn note_term(&mut self, f: &Function, block: BlockId, opcode: &'static str) {
-        if let Some(hot) = &mut self.hot {
-            hot.record(
-                f as *const Function as usize,
-                &f.name,
-                HotLoc::Term(block.0),
-                opcode,
-            );
-        }
-        if let Some(mix) = &mut self.mix {
-            mix.record(opcode, false);
-        }
+        mix.record_vector_lanes(m.opcode, active.min(m.width), m.width);
     }
 
     /// Cap the number of dynamic instructions; exceeding it traps with
@@ -279,18 +272,19 @@ impl<'m> Interp<'m> {
         args: &[RtVal],
         host: &mut dyn HostEnv,
     ) -> Result<ExecResult, Trap> {
-        let f = self
-            .module
-            .function(func)
+        let program = Arc::clone(&self.program);
+        let fi = program
+            .func(func)
             .ok_or_else(|| Trap::UnknownFunction(func.to_string()))?;
-        if f.params.len() != args.len() {
+        let params = program.funcs[fi].params.len();
+        if params != args.len() {
             return Err(Trap::HostError(format!(
-                "@{func} expects {} arguments, got {}",
-                f.params.len(),
+                "@{func} expects {params} arguments, got {}",
                 args.len()
             )));
         }
-        let ret = self.call_function(f, args.to_vec(), host, 0)?;
+        self.observed = self.mix.is_some() || self.hot.is_some();
+        let ret = self.call(&program, fi, ArgSrc::Values(args), host, 0)?;
         if self.trace.is_some() {
             let bits = match &ret {
                 None => 0,
@@ -307,6 +301,7 @@ impl<'m> Interp<'m> {
         })
     }
 
+    #[inline(always)]
     fn tick(&mut self) -> Result<(), Trap> {
         self.executed += 1;
         if self.executed > self.budget {
@@ -325,360 +320,433 @@ impl<'m> Interp<'m> {
         Ok(())
     }
 
-    fn call_function(
+    /// Call function `fi` at call depth `depth` in a fresh frame.
+    fn call(
         &mut self,
-        f: &'m Function,
-        args: Vec<RtVal>,
+        program: &Program,
+        fi: usize,
+        args: ArgSrc,
         host: &mut dyn HostEnv,
         depth: usize,
     ) -> Result<Option<RtVal>, Trap> {
         if depth >= MAX_DEPTH {
             return Err(Trap::StackOverflow);
         }
-        if args.len() > f.values.len() {
+        let f = &program.funcs[fi];
+        if args.len() > f.values {
             return Err(Trap::EngineFault(format!(
                 "call to @{} with {} arguments but only {} value slots",
                 f.name,
                 args.len(),
-                f.values.len()
+                f.values
             )));
         }
-        let mut frame: Vec<Option<RtVal>> = vec![None; f.values.len()];
-        for (i, a) in args.into_iter().enumerate() {
-            frame[i] = Some(a);
+        if self.frames.len() <= depth {
+            self.frames.resize_with(depth + 1, Vec::new);
         }
-
-        let mut cur = f.entry();
-        let mut prev: Option<BlockId> = None;
-        loop {
-            let block = f.block(cur);
-
-            // Phase 1: evaluate all phis against the *incoming* frame.
-            let mut phi_updates: Vec<(ValueId, RtVal)> = Vec::new();
-            let mut body_start = 0;
-            for (k, &iid) in block.insts.iter().enumerate() {
-                let inst = f.inst(iid);
-                if let InstKind::Phi { incomings } = &inst.kind {
-                    self.tick()?;
-                    self.note_inst(f, &frame, iid);
-                    let pb = prev
-                        .ok_or_else(|| Trap::HostError("phi in entry block at runtime".into()))?;
-                    let (_, op) = incomings
-                        .iter()
-                        .find(|(b, _)| *b == pb)
-                        .ok_or_else(|| Trap::HostError("phi missing incoming edge".into()))?;
-                    let v = self.eval_operand(f, &frame, op)?;
-                    let res = inst
-                        .result
-                        .ok_or_else(|| Trap::EngineFault("phi without a result value".into()))?;
-                    phi_updates.push((res, v));
-                    body_start = k + 1;
-                } else {
-                    break;
+        let mut regs = std::mem::take(&mut self.frames[depth]);
+        regs.clear();
+        regs.resize(f.words, 0);
+        regs.extend_from_slice(&f.pool);
+        for (i, p) in f.params.iter().enumerate() {
+            match &args {
+                ArgSrc::Values(vs) => {
+                    if let Some(v) = vs.get(i) {
+                        write_val(&mut regs, *p, v);
+                    }
+                }
+                ArgSrc::Regs(src, vals) => {
+                    if let Some(a) = vals.get(i) {
+                        let n = a.n.min(p.n) as usize;
+                        regs[p.off as usize..][..n].copy_from_slice(&lanes(src, *a)[..n]);
+                    }
                 }
             }
-            for (v, val) in phi_updates {
-                frame[v.index()] = Some(val);
-            }
+        }
+        let ret = self.exec(program, fi, &mut regs, host, depth);
+        self.frames[depth] = regs;
+        ret
+    }
 
-            // Phase 2: straight-line body.
-            for &iid in &block.insts[body_start..] {
-                self.tick()?;
-                self.note_inst(f, &frame, iid);
-                let inst = f.inst(iid);
-                let result = self.exec_inst(f, &frame, &inst.kind, inst.ty, host, depth)?;
-                if let Some(res_v) = inst.result {
-                    frame[res_v.index()] = Some(result.ok_or_else(|| {
-                        Trap::HostError("non-void instruction produced no value".into())
-                    })?);
-                }
-            }
-
-            // Terminator.
+    /// Enter a block over `e`: retire its phis, then copy their incoming
+    /// values as one parallel assignment. Returns the block's first pc.
+    fn enter(&mut self, fi: usize, f: &Func, e: &Edge, regs: &mut [u64]) -> Result<usize, Trap> {
+        for j in 0..e.nphis {
             self.tick()?;
-            match &block.term {
-                Terminator::Br(b) => {
-                    self.note_term(f, cur, "br");
-                    prev = Some(cur);
-                    cur = *b;
+            if self.observed {
+                self.note(fi, f, &f.meta[(e.phi_meta + j as u32) as usize], regs);
+            }
+            if e.missing == Some(j) {
+                return Err(Trap::HostError("phi missing incoming edge".into()));
+            }
+        }
+        let moves = &f.moves[e.moves.start as usize..e.moves.end as usize];
+        if e.parallel {
+            self.scratch.clear();
+            for m in moves {
+                self.scratch
+                    .extend_from_slice(&regs[m.src as usize..][..m.n as usize]);
+            }
+            let mut k = 0;
+            for m in moves {
+                let n = m.n as usize;
+                regs[m.dst as usize..][..n].copy_from_slice(&self.scratch[k..k + n]);
+                k += n;
+            }
+        } else {
+            for m in moves {
+                if m.n == 1 {
+                    regs[m.dst as usize] = regs[m.src as usize];
+                } else {
+                    let src = m.src as usize;
+                    regs.copy_within(src..src + m.n as usize, m.dst as usize);
                 }
-                Terminator::CondBr {
+            }
+        }
+        Ok(e.pc as usize)
+    }
+
+    /// Run function `fi`'s code over its frame `regs` until it returns.
+    fn exec(
+        &mut self,
+        program: &Program,
+        fi: usize,
+        regs: &mut [u64],
+        host: &mut dyn HostEnv,
+        depth: usize,
+    ) -> Result<Option<RtVal>, Trap> {
+        let f = &program.funcs[fi];
+        let mut pc = f.start as usize;
+        loop {
+            let op = &f.code[pc];
+            self.tick()?;
+            // `unreachable` traps before it retires into any profile.
+            if self.observed && !matches!(op, Op::Unreachable) {
+                self.note(fi, f, &f.meta[pc], regs);
+            }
+            match *op {
+                Op::Bin {
+                    op,
+                    ty,
+                    n,
+                    dst,
+                    a,
+                    b,
+                } => {
+                    for i in 0..n as usize {
+                        let x = Scalar {
+                            ty,
+                            bits: regs[a as usize + i],
+                        };
+                        let y = Scalar {
+                            ty,
+                            bits: regs[b as usize + i],
+                        };
+                        regs[dst as usize + i] = eval_bin(op, x, y)?.bits;
+                    }
+                }
+                Op::ICmp {
+                    pred,
+                    ty,
+                    n,
+                    dst,
+                    a,
+                    b,
+                } => {
+                    for i in 0..n as usize {
+                        let x = Scalar {
+                            ty,
+                            bits: regs[a as usize + i],
+                        };
+                        let y = Scalar {
+                            ty,
+                            bits: regs[b as usize + i],
+                        };
+                        regs[dst as usize + i] = eval_icmp(pred, x, y) as u64;
+                    }
+                }
+                Op::FCmp {
+                    pred,
+                    ty,
+                    n,
+                    dst,
+                    a,
+                    b,
+                } => {
+                    for i in 0..n as usize {
+                        let x = Scalar {
+                            ty,
+                            bits: regs[a as usize + i],
+                        };
+                        let y = Scalar {
+                            ty,
+                            bits: regs[b as usize + i],
+                        };
+                        regs[dst as usize + i] = eval_fcmp(pred, x, y) as u64;
+                    }
+                }
+                Op::Select {
+                    n,
+                    dst,
                     cond,
                     on_true,
                     on_false,
                 } => {
-                    self.note_term(f, cur, "condbr");
-                    let c = self.eval_operand(f, &frame, cond)?.scalar();
-                    prev = Some(cur);
-                    cur = if c.is_true() { *on_true } else { *on_false };
-                    self.note_event(TraceEvent::Branch { block: cur.0 });
+                    let src = if regs[cond as usize] & 1 == 1 {
+                        on_true
+                    } else {
+                        on_false
+                    } as usize;
+                    regs.copy_within(src..src + n as usize, dst as usize);
                 }
-                Terminator::Ret(Some(op)) => {
-                    self.note_term(f, cur, "ret");
-                    return Ok(Some(self.eval_operand(f, &frame, op)?));
+                Op::Blend {
+                    n,
+                    dst,
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    for i in 0..n as usize {
+                        let arm = if regs[cond as usize + i] & 1 == 1 {
+                            on_true
+                        } else {
+                            on_false
+                        };
+                        regs[dst as usize + i] = regs[arm as usize + i];
+                    }
                 }
-                Terminator::Ret(None) => {
-                    self.note_term(f, cur, "ret");
-                    return Ok(None);
+                Op::Cast {
+                    op,
+                    from,
+                    to,
+                    n,
+                    dst,
+                    src,
+                } => {
+                    for i in 0..n as usize {
+                        let v = Scalar {
+                            ty: from,
+                            bits: regs[src as usize + i],
+                        };
+                        regs[dst as usize + i] = eval_cast(op, v, to).bits;
+                    }
                 }
-                Terminator::Unreachable => return Err(Trap::Unreachable),
+                Op::Alloca {
+                    elem_size,
+                    count_ty,
+                    count,
+                    dst,
+                } => {
+                    let n = Scalar {
+                        ty: count_ty,
+                        bits: regs[count as usize],
+                    }
+                    .as_i64();
+                    if n < 0 {
+                        return Err(Trap::OutOfMemory);
+                    }
+                    regs[dst as usize] = self.mem.alloc(elem_size as u64 * n as u64)?;
+                }
+                Op::Load { ty, n, dst, ptr } => {
+                    let addr = self.fault_addr(regs[ptr as usize]);
+                    for i in 0..n as usize {
+                        regs[dst as usize + i] =
+                            self.mem.read_scalar(ty, addr + i as u64 * ty.bytes())?.bits;
+                    }
+                }
+                Op::Store { ty, n, val, ptr } => {
+                    let addr = self.fault_addr(regs[ptr as usize]);
+                    let vals = &regs[val as usize..][..n as usize];
+                    for (i, &bits) in vals.iter().enumerate() {
+                        self.mem
+                            .write_scalar(addr + i as u64 * ty.bytes(), Scalar { ty, bits })?;
+                    }
+                    if self.trace.is_some() {
+                        let bits = vals.iter().fold(0, |acc, &b| fold_bits(acc, b));
+                        self.note_event(TraceEvent::Store { addr, bits });
+                    }
+                }
+                Op::Gep {
+                    elem_size,
+                    idx_ty,
+                    idx,
+                    dst,
+                    base,
+                } => {
+                    let i = Scalar {
+                        ty: idx_ty,
+                        bits: regs[idx as usize],
+                    }
+                    .as_i64();
+                    regs[dst as usize] =
+                        regs[base as usize].wrapping_add((elem_size as i64).wrapping_mul(i) as u64);
+                }
+                Op::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
+                Op::Extract { n, dst, vec, idx } => {
+                    let i = (regs[idx as usize] % n as u64) as usize;
+                    regs[dst as usize] = regs[vec as usize + i];
+                }
+                Op::Insert {
+                    n,
+                    dst,
+                    vec,
+                    elt,
+                    idx,
+                } => {
+                    let i = (regs[idx as usize] % n as u64) as usize;
+                    insert(regs, n, dst, vec, elt, i);
+                }
+                Op::InsertAt {
+                    n,
+                    lane,
+                    dst,
+                    vec,
+                    elt,
+                } => insert(regs, n, dst, vec, elt, lane as usize),
+                Op::Shuffle { dst, table } => {
+                    for (i, src) in f.shuffles[table as usize].iter().enumerate() {
+                        regs[dst as usize + i] = src.map_or(0, |s| regs[s as usize]);
+                    }
+                }
+                Op::Call { site } => self.call_site(program, f, site, regs, host, depth)?,
+                Op::Fail { trap } => return Err(f.traps[trap as usize].clone()),
+                Op::Br { edge } => {
+                    pc = self.enter(fi, f, &f.edges[edge as usize], regs)?;
+                    continue;
+                }
+                Op::CondBr {
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    let edge = if regs[cond as usize] & 1 == 1 {
+                        on_true
+                    } else {
+                        on_false
+                    };
+                    let e = &f.edges[edge as usize];
+                    self.note_event(TraceEvent::Branch { block: e.block });
+                    pc = self.enter(fi, f, e, regs)?;
+                    continue;
+                }
+                Op::Ret { val } => return Ok(val.map(|v| load(regs, v))),
+                Op::Unreachable => return Err(Trap::Unreachable),
             }
+            pc += 1;
         }
     }
 
-    fn eval_operand(
-        &self,
-        _f: &Function,
-        frame: &[Option<RtVal>],
-        op: &Operand,
-    ) -> Result<RtVal, Trap> {
-        match op {
-            Operand::Const(c) => Ok(RtVal::from_constant(c)),
-            Operand::Value(v) => frame[v.index()]
-                .clone()
-                .ok_or_else(|| Trap::HostError(format!("use of undefined value v{}", v.0))),
-        }
-    }
-
-    fn exec_inst(
+    /// Execute call site `site` of `f`, writing its result register.
+    fn call_site(
         &mut self,
-        f: &'m Function,
-        frame: &[Option<RtVal>],
-        kind: &InstKind,
-        ty: Type,
+        program: &Program,
+        f: &Func,
+        site: u32,
+        regs: &mut [u64],
         host: &mut dyn HostEnv,
         depth: usize,
-    ) -> Result<Option<RtVal>, Trap> {
-        let ev = |i: &Interp<'m>, op: &Operand| i.eval_operand(f, frame, op);
-        match kind {
-            InstKind::Bin { op, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes(&a, &b, |x, y| eval_bin(*op, x, y))?))
-            }
-            InstKind::ICmp { pred, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes_to(ScalarTy::I1, &a, &b, |x, y| {
-                    Ok(Scalar::i1(eval_icmp(*pred, x, y)))
-                })?))
-            }
-            InstKind::FCmp { pred, lhs, rhs } => {
-                let a = ev(self, lhs)?;
-                let b = ev(self, rhs)?;
-                Ok(Some(zip_lanes_to(ScalarTy::I1, &a, &b, |x, y| {
-                    Ok(Scalar::i1(eval_fcmp(*pred, x, y)))
-                })?))
-            }
-            InstKind::Select {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let c = ev(self, cond)?;
-                let t = ev(self, on_true)?;
-                let e = ev(self, on_false)?;
-                match c {
-                    RtVal::Scalar(s) => Ok(Some(if s.is_true() { t } else { e })),
-                    RtVal::Vector(_, lanes) => {
-                        if t.num_lanes() < lanes.len() || e.num_lanes() < lanes.len() {
-                            return Err(Trap::EngineFault(
-                                "select arms narrower than the condition vector".into(),
-                            ));
-                        }
-                        let elem = t.lane(0).ty;
-                        let out = lanes.iter().enumerate().map(|(i, &cb)| {
-                            if cb & 1 == 1 {
-                                t.lane(i)
-                            } else {
-                                e.lane(i)
-                            }
-                        });
-                        Ok(Some(RtVal::from_lanes(elem, out)))
-                    }
+    ) -> Result<(), Trap> {
+        let site = &f.calls[site as usize];
+        let args = &f.args[site.args as usize..][..site.nargs as usize];
+        let ret = match &site.callee {
+            Callee::Func(func) => self.call(
+                program,
+                *func as usize,
+                ArgSrc::Regs(regs, args),
+                host,
+                depth + 1,
+            )?,
+            Callee::Intrinsic(intr) => {
+                if self.intrinsic(*intr, args, regs, site.dst)? {
+                    return Ok(());
                 }
+                None
             }
-            InstKind::Cast { op, val } => {
-                let v = ev(self, val)?;
-                let to_elem = ty
-                    .elem()
-                    .ok_or_else(|| Trap::EngineFault("cast to void type".into()))?;
-                let out = v
-                    .lanes()
-                    .into_iter()
-                    .map(|s| eval_cast(*op, s, to_elem))
-                    .collect::<Vec<_>>();
-                Ok(Some(if ty.is_vector() {
-                    RtVal::from_lanes(to_elem, out)
-                } else {
-                    RtVal::Scalar(out[0])
-                }))
-            }
-            InstKind::Alloca { elem, count } => {
-                let n = ev(self, count)?.scalar().as_i64();
-                if n < 0 {
-                    return Err(Trap::OutOfMemory);
-                }
-                let base = self.mem.alloc(elem.size_bytes() * n as u64)?;
-                Ok(Some(RtVal::Scalar(Scalar::ptr(base))))
-            }
-            InstKind::Load { ptr } => {
-                let addr = ev(self, ptr)?.scalar().as_u64();
-                let addr = self.fault_addr(addr);
-                match ty {
-                    Type::Scalar(s) => Ok(Some(RtVal::Scalar(self.mem.read_scalar(s, addr)?))),
-                    Type::Vector(s, n) => {
-                        let mut lanes = Vec::with_capacity(n as usize);
-                        for i in 0..n as u64 {
-                            lanes.push(self.mem.read_scalar(s, addr + i * s.bytes())?);
-                        }
-                        Ok(Some(RtVal::from_lanes(s, lanes)))
-                    }
-                    Type::Void => Err(Trap::EngineFault("load of void type".into())),
-                }
-            }
-            InstKind::Store { val, ptr } => {
-                let v = ev(self, val)?;
-                let addr = ev(self, ptr)?.scalar().as_u64();
-                let addr = self.fault_addr(addr);
-                match &v {
-                    RtVal::Scalar(s) => self.mem.write_scalar(addr, *s)?,
-                    RtVal::Vector(e, lanes) => {
-                        for (i, &b) in lanes.iter().enumerate() {
-                            self.mem
-                                .write_scalar(addr + i as u64 * e.bytes(), Scalar::new(*e, b))?;
-                        }
-                    }
-                }
-                if self.trace.is_some() {
-                    let bits = v
-                        .lanes()
-                        .into_iter()
-                        .fold(0, |acc, s| fold_bits(acc, s.bits));
-                    self.note_event(TraceEvent::Store { addr, bits });
-                }
-                Ok(None)
-            }
-            InstKind::Gep { elem, base, index } => {
-                let b = ev(self, base)?.scalar().as_u64();
-                let i = ev(self, index)?.scalar().as_i64();
-                let addr = b.wrapping_add((elem.size_bytes() as i64).wrapping_mul(i) as u64);
-                Ok(Some(RtVal::Scalar(Scalar::ptr(addr))))
-            }
-            InstKind::ExtractElement { vec, idx } => {
-                let v = ev(self, vec)?;
-                if v.num_lanes() == 0 {
-                    return Err(Trap::EngineFault("extractelement from empty vector".into()));
-                }
-                let i = ev(self, idx)?.scalar().as_u64() as usize % v.num_lanes();
-                Ok(Some(RtVal::Scalar(v.lane(i))))
-            }
-            InstKind::InsertElement { vec, elt, idx } => {
-                let v = ev(self, vec)?;
-                if v.num_lanes() == 0 {
-                    return Err(Trap::EngineFault("insertelement into empty vector".into()));
-                }
-                let e = ev(self, elt)?.scalar();
-                let i = ev(self, idx)?.scalar().as_u64() as usize % v.num_lanes();
-                Ok(Some(v.with_lane(i, e)))
-            }
-            InstKind::ShuffleVector { a, b, mask } => {
-                let va = ev(self, a)?;
-                let vb = ev(self, b)?;
-                let n = va.num_lanes();
-                if n == 0 {
-                    return Err(Trap::EngineFault("shufflevector of empty vector".into()));
-                }
-                let elem = va.lane(0).ty;
-                let out: Result<Vec<Scalar>, Trap> = mask
-                    .iter()
-                    .map(|&mi| {
-                        if mi < 0 {
-                            Ok(Scalar::new(elem, 0)) // undef lane
-                        } else if (mi as usize) < n {
-                            Ok(va.lane(mi as usize))
-                        } else if (mi as usize) < n + vb.num_lanes() {
-                            Ok(vb.lane(mi as usize - n))
-                        } else {
-                            Err(Trap::EngineFault(format!(
-                                "shufflevector mask index {mi} out of range for {} + {} lanes",
-                                n,
-                                vb.num_lanes()
-                            )))
-                        }
-                    })
-                    .collect();
-                Ok(Some(RtVal::from_lanes(elem, out?)))
-            }
-            InstKind::Phi { .. } => Err(Trap::HostError("phi outside block header".into())),
-            InstKind::Call { callee, args } => {
-                let argv: Vec<RtVal> = args
-                    .iter()
-                    .map(|a| self.eval_operand(f, frame, a))
-                    .collect::<Result<_, _>>()?;
-                // Defined function?
-                if let Some(callee_f) = self.module.function(callee) {
-                    return self.call_function(callee_f, argv, host, depth + 1);
-                }
-                // Intrinsic?
-                if let Some(intr) = intrinsics::parse(callee) {
-                    return self.eval_intrinsic(intr, &argv);
-                }
-                if callee.starts_with("llvm.") {
-                    return Err(Trap::UnknownFunction(callee.clone()));
-                }
-                // Host function. Mirror the dynamic-instruction clock into
-                // memory so host environments (e.g. the fault injector)
-                // can timestamp their actions without a wider interface.
+            Callee::Host { name, void } => {
+                let name = &f.names[*name as usize];
+                // Mirror the dynamic-instruction clock into memory so
+                // host environments (e.g. the fault injector) can
+                // timestamp their actions without a wider interface.
                 self.mem.set_host_clock(self.executed);
-                let ret = host.call(callee, &argv, &mut self.mem)?;
-                if ret.is_none() && !ty.is_void() {
+                let ret = call_host(host, name, regs, args, &mut self.mem)?;
+                if ret.is_none() && !void {
                     return Err(Trap::HostError(format!(
-                        "host @{callee} returned nothing for a non-void call"
+                        "host @{name} returned nothing for a non-void call"
                     )));
                 }
-                Ok(ret)
-            }
-        }
-    }
-
-    fn eval_intrinsic(&mut self, intr: Intrinsic, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        let need = |n: usize| -> Result<(), Trap> {
-            if args.len() < n {
-                Err(Trap::EngineFault(format!(
-                    "intrinsic expects {n} arguments, got {}",
-                    args.len()
-                )))
-            } else {
-                Ok(())
+                ret
             }
         };
+        if let Some(d) = site.dst {
+            let v = ret
+                .ok_or_else(|| Trap::HostError("non-void instruction produced no value".into()))?;
+            write_val(regs, d, &v);
+        }
+        Ok(())
+    }
+
+    /// The mask lanes a masked intrinsic uses: the operand's, or a
+    /// corrupted copy when the engine injector takes this event.
+    fn mask(&mut self, regs: &[u64], mask: Val) -> Vec<u64> {
+        let mut m = std::mem::take(&mut self.scratch);
+        m.clear();
+        m.extend_from_slice(lanes(regs, mask));
+        if let Some(inj) = self.fault.as_deref_mut() {
+            inj.on_mask_lanes(self.executed, mask.ty, &mut m);
+        }
+        m
+    }
+
+    /// Execute an intrinsic, writing its result (if any) to `dst`.
+    /// Returns whether the intrinsic produces a value.
+    fn intrinsic(
+        &mut self,
+        intr: Intrinsic,
+        args: &[Val],
+        regs: &mut [u64],
+        dst: Option<Val>,
+    ) -> Result<bool, Trap> {
         match intr {
             Intrinsic::MaskLoad { lanes, elem } => {
-                need(2)?;
-                let addr = self.fault_addr(args[0].scalar().as_u64());
-                let faulted = self.fault_mask(&args[1]);
-                let mask = faulted.as_ref().unwrap_or(&args[1]);
-                let mut out = Vec::with_capacity(lanes as usize);
-                for i in 0..lanes as usize {
-                    if mask.lane(i).mask_active() {
-                        out.push(self.mem.read_scalar(elem, addr + i as u64 * elem.bytes())?);
-                    } else {
-                        out.push(Scalar::new(elem, 0));
+                let addr = self.fault_addr(regs[args[0].off as usize]);
+                let mask = self.mask(regs, args[1]);
+                let active = |i: usize| {
+                    Scalar {
+                        ty: args[1].ty,
+                        bits: mask[i],
                     }
+                    .mask_active()
+                };
+                for i in 0..lanes as usize {
+                    let bits = if active(i) {
+                        let lane = addr + i as u64 * elem.bytes();
+                        self.mem.read_scalar(elem, lane)?.bits
+                    } else {
+                        0
+                    };
+                    put(regs, dst, i, bits);
                 }
-                Ok(Some(RtVal::from_lanes(elem, out)))
+                self.scratch = mask;
+                Ok(true)
             }
             Intrinsic::MaskStore { lanes, elem } => {
-                need(3)?;
-                let addr = self.fault_addr(args[0].scalar().as_u64());
-                let faulted = self.fault_mask(&args[1]);
-                let mask = faulted.as_ref().unwrap_or(&args[1]);
-                let val = &args[2];
+                let addr = self.fault_addr(regs[args[0].off as usize]);
+                let mask = self.mask(regs, args[1]);
+                let val = args[2];
+                let active = |i: usize| {
+                    Scalar {
+                        ty: args[1].ty,
+                        bits: mask[i],
+                    }
+                    .mask_active()
+                };
                 for i in 0..lanes as usize {
-                    if mask.lane(i).mask_active() {
-                        self.mem
-                            .write_scalar(addr + i as u64 * elem.bytes(), val.lane(i))?;
+                    if active(i) {
+                        let bits = regs[val.off as usize + i];
+                        self.mem.write_scalar(
+                            addr + i as u64 * elem.bytes(),
+                            Scalar { ty: val.ty, bits },
+                        )?;
                     }
                 }
                 if self.trace.is_some() {
@@ -686,124 +754,153 @@ impl<'m> Interp<'m> {
                     // so a mask flip with identical data still registers.
                     let mut bits = 0;
                     for i in 0..lanes as usize {
-                        if mask.lane(i).mask_active() {
-                            bits = fold_bits(fold_bits(bits, i as u64), val.lane(i).bits);
+                        if active(i) {
+                            let lane = regs[val.off as usize + i];
+                            bits = fold_bits(fold_bits(bits, i as u64), lane);
                         }
                     }
                     self.note_event(TraceEvent::Store { addr, bits });
                 }
-                Ok(None)
+                self.scratch = mask;
+                Ok(false)
             }
             Intrinsic::Math { op, ty } => {
-                match op {
-                    MathOp::Pow | MathOp::MinNum | MathOp::MaxNum => need(2)?,
-                    _ => need(1)?,
+                let elem = ty.elem().unwrap_or(ScalarTy::F64);
+                let a = args[0];
+                let float = |regs: &[u64], v: Val, i: usize| scalar_at(regs, v, i).as_float();
+                let unary: fn(f64) -> f64 = match op {
+                    MathOp::Sqrt => f64::sqrt,
+                    MathOp::Exp => f64::exp,
+                    MathOp::Log => f64::ln,
+                    MathOp::Sin => f64::sin,
+                    MathOp::Cos => f64::cos,
+                    MathOp::Fabs => f64::abs,
+                    MathOp::Floor => f64::floor,
+                    MathOp::Ceil => f64::ceil,
+                    MathOp::Pow | MathOp::MinNum | MathOp::MaxNum => {
+                        let g: fn(f64, f64) -> f64 = match op {
+                            MathOp::Pow => f64::powf,
+                            MathOp::MinNum => f64::min,
+                            _ => f64::max,
+                        };
+                        let b = args[1];
+                        // A scalar result keeps the first lane pair.
+                        let n = if ty.is_vector() { a.n.min(b.n) } else { 1 };
+                        for i in 0..n as usize {
+                            let r = g(float(regs, a, i), float(regs, b, i));
+                            put(regs, dst, i, Scalar::from_float(elem, r).bits);
+                        }
+                        return Ok(true);
+                    }
+                };
+                if ty.is_vector() {
+                    for i in 0..a.n as usize {
+                        let r = unary(float(regs, a, i));
+                        put(regs, dst, i, Scalar::from_float(elem, r).bits);
+                    }
+                } else {
+                    // A scalar result keeps the last lane.
+                    let r = unary(float(regs, a, a.n as usize - 1));
+                    put(regs, dst, 0, Scalar::from_float(elem, r).bits);
                 }
-                let elem = ty
-                    .elem()
-                    .ok_or_else(|| Trap::EngineFault("math intrinsic with void type".into()))?;
-                let unary = |g: fn(f64) -> f64, v: &RtVal| -> RtVal {
-                    let mut out = v
-                        .lanes()
-                        .into_iter()
-                        .map(|s| Scalar::from_float(elem, g(s.as_float())));
-                    if ty.is_vector() {
-                        RtVal::from_lanes(elem, out)
-                    } else {
-                        RtVal::Scalar(out.next_back().unwrap())
-                    }
-                };
-                let binary = |g: fn(f64, f64) -> f64, a: &RtVal, b: &RtVal| -> RtVal {
-                    let out: Vec<Scalar> = a
-                        .lanes()
-                        .into_iter()
-                        .zip(b.lanes())
-                        .map(|(x, y)| Scalar::from_float(elem, g(x.as_float(), y.as_float())))
-                        .collect();
-                    if ty.is_vector() {
-                        RtVal::from_lanes(elem, out)
-                    } else {
-                        RtVal::Scalar(out[0])
-                    }
-                };
-                let r = match op {
-                    MathOp::Sqrt => unary(f64::sqrt, &args[0]),
-                    MathOp::Exp => unary(f64::exp, &args[0]),
-                    MathOp::Log => unary(f64::ln, &args[0]),
-                    MathOp::Sin => unary(f64::sin, &args[0]),
-                    MathOp::Cos => unary(f64::cos, &args[0]),
-                    MathOp::Fabs => unary(f64::abs, &args[0]),
-                    MathOp::Floor => unary(f64::floor, &args[0]),
-                    MathOp::Ceil => unary(f64::ceil, &args[0]),
-                    MathOp::Pow => binary(f64::powf, &args[0], &args[1]),
-                    MathOp::MinNum => binary(f64::min, &args[0], &args[1]),
-                    MathOp::MaxNum => binary(f64::max, &args[0], &args[1]),
-                };
-                Ok(Some(r))
+                Ok(true)
             }
             Intrinsic::Movmsk { lanes } => {
-                need(1)?;
                 let mut bits: u64 = 0;
                 for i in 0..lanes as usize {
-                    if args[0].lane(i).mask_active() {
+                    if scalar_at(regs, args[0], i).mask_active() {
                         bits |= 1 << i;
                     }
                 }
-                Ok(Some(RtVal::Scalar(Scalar::i32(bits as i32))))
+                put(regs, dst, 0, Scalar::i32(bits as i32).bits);
+                Ok(true)
             }
             Intrinsic::MaskAny { lanes } => {
-                need(1)?;
-                let any = (0..lanes as usize).any(|i| args[0].lane(i).is_true());
-                Ok(Some(RtVal::Scalar(Scalar::i1(any))))
+                let any = (0..lanes as usize).any(|i| scalar_at(regs, args[0], i).is_true());
+                put(regs, dst, 0, any as u64);
+                Ok(true)
             }
             Intrinsic::MaskAll { lanes } => {
-                need(1)?;
-                let all = (0..lanes as usize).all(|i| args[0].lane(i).is_true());
-                Ok(Some(RtVal::Scalar(Scalar::i1(all))))
+                let all = (0..lanes as usize).all(|i| scalar_at(regs, args[0], i).is_true());
+                put(regs, dst, 0, all as u64);
+                Ok(true)
             }
         }
     }
 }
 
-/// Elementwise zip of two register values, same element type as inputs.
-fn zip_lanes(
-    a: &RtVal,
-    b: &RtVal,
-    f: impl Fn(Scalar, Scalar) -> Result<Scalar, Trap>,
-) -> Result<RtVal, Trap> {
-    match (a, b) {
-        (RtVal::Scalar(x), RtVal::Scalar(y)) => Ok(RtVal::Scalar(f(*x, *y)?)),
-        _ => {
-            let elem = a.lane(0).ty;
-            let out: Result<Vec<Scalar>, Trap> = a
-                .lanes()
-                .into_iter()
-                .zip(b.lanes())
-                .map(|(x, y)| f(x, y))
-                .collect();
-            Ok(RtVal::from_lanes(elem, out?))
+/// The words of register operand `v`.
+fn lanes(regs: &[u64], v: Val) -> &[u64] {
+    &regs[v.off as usize..][..v.n as usize]
+}
+
+/// Lane `i` of `v`; a scalar answers every lane with its one value.
+fn scalar_at(regs: &[u64], v: Val, i: usize) -> Scalar {
+    let i = if v.vector { i } else { 0 };
+    Scalar {
+        ty: v.ty,
+        bits: lanes(regs, v)[i],
+    }
+}
+
+/// Write lane `i` of an intrinsic's result register, if it has one.
+fn put(regs: &mut [u64], dst: Option<Val>, i: usize, bits: u64) {
+    if let Some(d) = dst {
+        if i < d.n as usize {
+            regs[d.off as usize + i] = bits;
         }
     }
 }
 
-/// Elementwise zip with a different output element type.
-fn zip_lanes_to(
-    out_ty: ScalarTy,
-    a: &RtVal,
-    b: &RtVal,
-    f: impl Fn(Scalar, Scalar) -> Result<Scalar, Trap>,
-) -> Result<RtVal, Trap> {
-    match (a, b) {
-        (RtVal::Scalar(x), RtVal::Scalar(y)) => Ok(RtVal::Scalar(f(*x, *y)?)),
-        _ => {
-            let out: Result<Vec<Scalar>, Trap> = a
-                .lanes()
-                .into_iter()
-                .zip(b.lanes())
-                .map(|(x, y)| f(x, y))
-                .collect();
-            Ok(RtVal::from_lanes(out_ty, out?))
+/// Materialize `v` as a runtime value.
+fn load(regs: &[u64], v: Val) -> RtVal {
+    if v.vector {
+        RtVal::Vector(v.ty, lanes(regs, v).to_vec())
+    } else {
+        RtVal::Scalar(scalar_at(regs, v, 0))
+    }
+}
+
+/// Store runtime value `v` into register `dst` (bits masked to the
+/// register's element type).
+fn write_val(regs: &mut [u64], dst: Val, v: &RtVal) {
+    let words = &mut regs[dst.off as usize..][..dst.n as usize];
+    match v {
+        RtVal::Scalar(s) => words[0] = s.bits & dst.ty.bit_mask(),
+        RtVal::Vector(_, ls) => {
+            for (w, b) in words.iter_mut().zip(ls) {
+                *w = b & dst.ty.bit_mask();
+            }
         }
+    }
+}
+
+/// Lane `lane` of `vec` replaced by `elt`, into `dst`.
+fn insert(regs: &mut [u64], n: u16, dst: u32, vec: u32, elt: u32, lane: usize) {
+    let e = regs[elt as usize];
+    let vec = vec as usize;
+    regs.copy_within(vec..vec + n as usize, dst as usize);
+    regs[dst as usize + lane] = e;
+}
+
+/// Dispatch a host call, passing up to [`INLINE_ARGS`] arguments in a
+/// stack array.
+fn call_host(
+    host: &mut dyn HostEnv,
+    name: &str,
+    regs: &[u64],
+    args: &[Val],
+    mem: &mut Memory,
+) -> Result<Option<RtVal>, Trap> {
+    if args.len() <= INLINE_ARGS {
+        let argv: [RtVal; INLINE_ARGS] = std::array::from_fn(|i| match args.get(i) {
+            Some(&a) => load(regs, a),
+            None => RtVal::Scalar(Scalar::i1(false)),
+        });
+        host.call(name, &argv[..args.len()], mem)
+    } else {
+        let argv: Vec<RtVal> = args.iter().map(|&a| load(regs, a)).collect();
+        host.call(name, &argv, mem)
     }
 }
 
@@ -1094,15 +1191,155 @@ entry:
         let e = interp.run("callee", &[], &mut NoHost);
         assert!(matches!(e, Err(Trap::HostError(_))));
         // ...but an intrinsic short on arguments is an EngineFault.
-        let mut interp = Interp::new(&m);
-        let e = interp.eval_intrinsic(
-            Intrinsic::Math {
-                op: MathOp::Sqrt,
-                ty: Type::Scalar(ScalarTy::F32),
-            },
-            &[],
-        );
+        let src = r#"
+define float @short() {
+entry:
+  %r = call float @llvm.sqrt.f32()
+  ret float %r
+}
+"#;
+        let m = parse_module(src).unwrap();
+        let e = Interp::new(&m).run("short", &[], &mut NoHost);
         assert!(matches!(e, Err(Trap::EngineFault(_))), "{e:?}");
+    }
+
+    /// Trap `Display` strings are persisted in trace records: pin the
+    /// text of every trap the engine raises, each raised for real.
+    #[test]
+    fn trap_display_strings_are_pinned() {
+        let src = r#"
+declare i32 @ext.none(i32)
+
+define i32 @past(ptr %a) {
+entry:
+  %p = getelementptr i32, ptr %a, i32 100
+  %v = load i32, ptr %p
+  ret i32 %v
+}
+
+define i32 @div(i32 %a) {
+entry:
+  %q = sdiv i32 %a, 0
+  ret i32 %q
+}
+
+define void @dead() {
+entry:
+  unreachable
+}
+
+define float @bogus(float %x) {
+entry:
+  %r = call float @llvm.bogus.f32(float %x)
+  ret float %r
+}
+
+define i32 @host(i32 %x) {
+entry:
+  %r = call i32 @ext.none(i32 %x)
+  ret i32 %r
+}
+
+define void @spin() {
+entry:
+  br label %loop
+loop:
+  br label %loop
+}
+
+define i32 @forever(i32 %x) {
+entry:
+  %r = call i32 @forever(i32 %x)
+  ret i32 %r
+}
+
+define void @gulp(i32 %n) {
+entry:
+  %p = alloca float, i32 %n
+  ret void
+}
+
+define float @short() {
+entry:
+  %r = call float @llvm.sqrt.f32()
+  ret float %r
+}
+"#;
+        struct Silent;
+        impl HostEnv for Silent {
+            fn call(&mut self, _: &str, _: &[RtVal], _: &mut Memory) -> HostResult {
+                Ok(None)
+            }
+        }
+        type HostResult = Result<Option<RtVal>, Trap>;
+        let m = parse_module(src).unwrap();
+        let i32v = |v| RtVal::Scalar(Scalar::i32(v));
+        let trap = |f: &str, args: &[RtVal], setup: &dyn Fn(&mut Interp)| {
+            let mut interp = Interp::new(&m);
+            setup(&mut interp);
+            interp.run(f, args, &mut NoHost).unwrap_err().to_string()
+        };
+        let none = |_: &mut Interp| {};
+        let mut interp = Interp::new(&m);
+        let base = interp.mem.alloc_i32_slice(&[1, 2, 3]).unwrap();
+        let oob = interp
+            .run("past", &[RtVal::Scalar(Scalar::ptr(base))], &mut NoHost)
+            .unwrap_err();
+        let silent = Interp::new(&m)
+            .run("host", &[i32v(1)], &mut Silent)
+            .unwrap_err();
+        let cases = [
+            (
+                oob.to_string(),
+                "out-of-bounds access of 4 bytes at 0x10190",
+            ),
+            (trap("div", &[i32v(7)], &none), "integer division by zero"),
+            (trap("dead", &[], &none), "executed unreachable"),
+            (
+                trap("bogus", &[RtVal::Scalar(Scalar::f32(1.0))], &none),
+                "call to unknown function @llvm.bogus.f32",
+            ),
+            (
+                trap("host", &[i32v(1)], &none),
+                "call to unknown function @ext.none",
+            ),
+            (
+                trap("missing", &[], &none),
+                "call to unknown function @missing",
+            ),
+            (
+                trap("spin", &[], &|i: &mut Interp| i.set_budget(50)),
+                "dynamic instruction budget exhausted",
+            ),
+            (trap("forever", &[i32v(1)], &none), "call stack overflow"),
+            (
+                trap("gulp", &[i32v(4096)], &|i: &mut Interp| {
+                    i.set_memory_limit(1024)
+                }),
+                "simulated memory exhausted",
+            ),
+            (
+                trap("spin", &[], &|i: &mut Interp| {
+                    i.set_wall_limit(Duration::from_millis(1))
+                }),
+                "wall-clock watchdog fired",
+            ),
+            (
+                trap("short", &[], &none),
+                "engine fault: intrinsic expects 1 arguments, got 0",
+            ),
+            (
+                trap("div", &[], &none),
+                "host error: @div expects 1 arguments, got 0",
+            ),
+            (
+                silent.to_string(),
+                "host error: host @ext.none returned nothing for a non-void call",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -1496,26 +1733,48 @@ entry:
         assert_eq!(mix.occupancy_histogram(), vec![(2, 1)]);
     }
 
-    /// Profiling must be purely observational: identical results, memory,
-    /// and dynamic instruction counts with it on or off — the same
-    /// bit-identity contract tracing holds to.
-    #[test]
-    fn profiling_is_observational_bit_for_bit() {
+    /// Run `MASKED` over arbitrary lanes and mask bits, with the given
+    /// profilers on: the result, the output memory and the profiles.
+    fn run_masked(
+        lanes: &[u32],
+        mask_bits: u8,
+        mix: bool,
+        hotspots: bool,
+    ) -> (ExecResult, Vec<u32>, Option<InstMix>, Option<HotProfile>) {
         let m = parse_module(MASKED).unwrap();
-        let run = |profile: bool| {
-            let mut interp = Interp::new(&m);
-            if profile {
-                interp.enable_profiling();
-            }
-            let args = masked_args(&mut interp);
-            let base = args[0].scalar().as_u64();
-            let r = interp.run("k", &args, &mut NoHost).unwrap();
-            (r, interp.mem.read_f32_slice(base, 8).unwrap())
-        };
-        let (plain, mem_plain) = run(false);
-        let (profiled, mem_profiled) = run(true);
-        assert_eq!(plain, profiled, "profiling must not perturb execution");
-        assert_eq!(mem_plain, mem_profiled);
+        let mut interp = Interp::new(&m);
+        if mix {
+            interp.enable_profiling();
+        }
+        if hotspots {
+            interp.enable_hotspots();
+        }
+        let base = interp.mem.alloc_f32_slice(&[0.0; 8]).unwrap();
+        let on = f32::from_bits(0xffff_ffff);
+        let mask = RtVal::from_lanes(
+            ScalarTy::F32,
+            (0..8).map(|i| {
+                if mask_bits & (1 << i) != 0 {
+                    Scalar::f32(on)
+                } else {
+                    Scalar::f32(0.0)
+                }
+            }),
+        );
+        let val = RtVal::from_lanes(
+            ScalarTy::F32,
+            lanes.iter().map(|&b| Scalar::f32(f32::from_bits(b))),
+        );
+        let args = vec![RtVal::Scalar(Scalar::ptr(base)), mask, val];
+        let r = interp.run("k", &args, &mut NoHost).unwrap();
+        let snapshot: Vec<u32> = interp
+            .mem
+            .read_f32_slice(base, 8)
+            .unwrap()
+            .into_iter()
+            .map(f32::to_bits)
+            .collect();
+        (r, snapshot, interp.take_mix(), interp.take_hotspots())
     }
 
     /// The hotspot profile attributes every executed instruction to a
@@ -1571,6 +1830,26 @@ exit:
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
+        /// Mix profiling must be purely observational over arbitrary
+        /// inputs: results, memory, and dynamic instruction counts stay
+        /// bit-identical with it on or off — the same contract the
+        /// hotspot profiler and the trace sink hold to — and the mix
+        /// counts the active mask lanes.
+        #[test]
+        fn profiling_is_observational_bit_for_bit(
+            lanes in proptest::prop::collection::vec(proptest::prelude::any::<u32>(), 8),
+            mask_bits in proptest::prelude::any::<u8>(),
+        ) {
+            let (plain, mem_plain, _, _) = run_masked(&lanes, mask_bits, false, false);
+            let (profiled, mem_profiled, mix, _) = run_masked(&lanes, mask_bits, true, false);
+            proptest::prop_assert_eq!(plain.dyn_insts, profiled.dyn_insts);
+            proptest::prop_assert_eq!(plain, profiled);
+            proptest::prop_assert_eq!(mem_plain, mem_profiled);
+            let mix = mix.expect("profiling enabled");
+            proptest::prop_assert_eq!(mix.total, 3, "fmul + maskstore call + ret");
+            proptest::prop_assert_eq!(mix.lanes_active, 8 + mask_bits.count_ones() as u64);
+        }
+
         /// Hotspot profiling must be purely observational over arbitrary
         /// inputs: results, memory, and dynamic instruction counts stay
         /// bit-identical with it on or off — the same contract the mix
@@ -1580,41 +1859,8 @@ exit:
             lanes in proptest::prop::collection::vec(proptest::prelude::any::<u32>(), 8),
             mask_bits in proptest::prelude::any::<u8>(),
         ) {
-            let m = parse_module(MASKED).unwrap();
-            let run = |hotspots: bool| {
-                let mut interp = Interp::new(&m);
-                if hotspots {
-                    interp.enable_hotspots();
-                }
-                let base = interp.mem.alloc_f32_slice(&[0.0; 8]).unwrap();
-                let on = f32::from_bits(0xffff_ffff);
-                let mask = RtVal::from_lanes(
-                    ScalarTy::F32,
-                    (0..8).map(|i| {
-                        if mask_bits & (1 << i) != 0 {
-                            Scalar::f32(on)
-                        } else {
-                            Scalar::f32(0.0)
-                        }
-                    }),
-                );
-                let val = RtVal::from_lanes(
-                    ScalarTy::F32,
-                    lanes.iter().map(|&b| Scalar::f32(f32::from_bits(b))),
-                );
-                let args = vec![RtVal::Scalar(Scalar::ptr(base)), mask, val];
-                let r = interp.run("k", &args, &mut NoHost).unwrap();
-                let snapshot: Vec<u32> = interp
-                    .mem
-                    .read_f32_slice(base, 8)
-                    .unwrap()
-                    .into_iter()
-                    .map(f32::to_bits)
-                    .collect();
-                (r, snapshot, interp.take_hotspots())
-            };
-            let (plain, mem_plain, _) = run(false);
-            let (hot, mem_hot, profile) = run(true);
+            let (plain, mem_plain, _, _) = run_masked(&lanes, mask_bits, false, false);
+            let (hot, mem_hot, _, profile) = run_masked(&lanes, mask_bits, false, true);
             proptest::prop_assert_eq!(plain.dyn_insts, hot.dyn_insts);
             proptest::prop_assert_eq!(plain, hot);
             proptest::prop_assert_eq!(mem_plain, mem_hot);

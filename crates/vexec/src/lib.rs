@@ -2,6 +2,11 @@
 //!
 //! Executes [`vir`] modules with:
 //!
+//! - a **decode-once register bytecode** ([`program::Program`]): dense
+//!   `u64` slots with vector lanes inline, a constant pool, per-edge phi
+//!   moves and pre-resolved callees, so arithmetic, lane moves and
+//!   scalar host calls never allocate — decode a module once and share
+//!   the program across runs with [`Interp::with_program`];
 //! - a **guarded flat memory model** ([`mem::Memory`]) where every access
 //!   must fall inside a live allocation — invalid pointers trap, giving the
 //!   fault-injection study its "Crash" outcome class;
@@ -42,6 +47,7 @@ pub mod interp;
 pub mod mem;
 pub mod opt;
 pub mod profile;
+pub mod program;
 pub mod trace;
 pub mod value;
 
@@ -49,5 +55,6 @@ pub use fault::{EngineCensus, EngineInjection, EngineInjector, EngineModel};
 pub use interp::{ExecResult, HostEnv, Interp, NoHost};
 pub use mem::{Memory, Trap};
 pub use profile::{HotLoc, HotProfile, HotSite, Hotspot, InstMix};
+pub use program::Program;
 pub use trace::{Divergence, DivergenceTracer, TraceEvent, TraceSink};
 pub use value::{RtVal, Scalar};
