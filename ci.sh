@@ -142,6 +142,15 @@ ADDR=$(cat "$SMOKE/serve/serve.addr")
 ./target/release/vulfi submit --addr "$ADDR" --bench "vector sum" \
     --experiments 12 --campaigns 5 --shard-size 5 --wait --json > "$SMOKE/submit.json"
 grep -q '"mean_sdc"' "$SMOKE/submit.json"
+# The input scale is part of the study key: the same spec at paper scale
+# is a study of its own, never a cache hit on the test-scale one.
+./target/release/vulfi submit --addr "$ADDR" --bench "vector sum" --scale paper \
+    --experiments 12 --campaigns 5 --shard-size 5 --wait --json > "$SMOKE/submit_paper.json"
+TEST_KEY=$(grep -o '"key": "[a-f0-9]*"' "$SMOKE/submit.json" | head -1 | cut -d'"' -f4)
+PAPER_KEY=$(grep -o '"key": "[a-f0-9]*"' "$SMOKE/submit_paper.json" | head -1 | cut -d'"' -f4)
+test -n "$TEST_KEY"
+test -n "$PAPER_KEY"
+test "$TEST_KEY" != "$PAPER_KEY"
 # Capture to a file first: `head -1` closing the pipe early would kill
 # the writer with SIGPIPE/broken-pipe under `pipefail`.
 ./target/release/vulfi status --addr "$ADDR" --json > "$SMOKE/status.json"

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use detectors::{CheckPlacement, DetectorConfig, WithDetectors};
 use spmdc::VectorIsa;
-use vbench::{micro_benchmark, Scale};
+use vbench::{benchmark, Scale};
 use vexec::Interp;
 use vir::analysis::SiteCategory;
 use vulfi::instrument::TargetMode;
@@ -18,7 +18,7 @@ use vulfi::workload::Workload;
 use vulfi::{prepare_with, run_campaign, InstrumentOptions, VulfiHost};
 
 fn mask_awareness(c: &mut Criterion) {
-    let w = micro_benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
+    let w = benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
     let mut group = c.benchmark_group("ablation/mask");
     group.sample_size(20);
     for (label, aware) in [("aware", true), ("oblivious", false)] {
@@ -45,7 +45,7 @@ fn mask_awareness(c: &mut Criterion) {
 }
 
 fn check_placement(c: &mut Criterion) {
-    let w = micro_benchmark("vector sum", VectorIsa::Avx, Scale::Test).unwrap();
+    let w = benchmark("vector sum", VectorIsa::Avx, Scale::Test).unwrap();
     let mut group = c.benchmark_group("ablation/check_placement");
     group.sample_size(20);
     for (label, placement) in [
@@ -72,7 +72,7 @@ fn check_placement(c: &mut Criterion) {
 }
 
 fn campaign_throughput(c: &mut Criterion) {
-    let w = micro_benchmark("dot product", VectorIsa::Avx, Scale::Test).unwrap();
+    let w = benchmark("dot product", VectorIsa::Avx, Scale::Test).unwrap();
     let prog = prepare_with(
         &w,
         InstrumentOptions {
@@ -96,7 +96,7 @@ fn campaign_throughput(c: &mut Criterion) {
 fn target_mode(c: &mut Criterion) {
     // Lvalue (paper §II-B) vs source-operand fault models: runtime cost of
     // the denser operand-site instrumentation.
-    let w = micro_benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
+    let w = benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
     let mut group = c.benchmark_group("ablation/target_mode");
     group.sample_size(20);
     for (label, mode) in [

@@ -5,14 +5,14 @@
 //! vulfi sites <file.spmd|file.vir> [--isa avx|sse] [--func NAME]
 //! vulfi instrument <file> --category pure-data|control|address [--isa ...] [--func NAME]
 //! vulfi detect <file> [--isa ...] [--func NAME] [--uniform]
-//! vulfi campaign --bench NAME [--isa ...] [--category ...] [--experiments N] [--seed N] [--detectors]
-//! vulfi study --bench NAME [--store DIR] [--resume] [--trace DIR] ...
+//! vulfi campaign --bench NAME [--isa ...] [--category ...] [--scale test|paper] [--experiments N] ...
+//! vulfi study --bench NAME [--scale test|paper] [--store DIR] [--resume] [--trace DIR] ...
 //! vulfi trace summarize|fsck|export [--trace DIR] [--chrome] [-o PATH]
 //! vulfi events tail|summarize|fsck [--store DIR]
 //! vulfi alerts check|watch|fsck --rules FILE [--store DIR]
 //! vulfi bench [trend] [--bench NAME] [--record] [--check BASELINE]
 //! vulfi serve [--addr HOST:PORT] [--rules FILE] [--telemetry-interval-ms N]
-//! vulfi profile --bench NAME [--isa ...] [--hotspots]
+//! vulfi profile --bench NAME [--isa ...] [--scale test|paper] [--hotspots]
 //! vulfi list
 //! ```
 //!
@@ -46,12 +46,12 @@ fn usage() -> String {
      vulfi lint <file>|--suite [--isa avx|sse] [--func NAME] [--deny] [--json] [-o PATH]\n  \
      vulfi instrument <file> --category pure-data|control|address [--func NAME]\n  \
      vulfi detect <file> [--func NAME] [--uniform]\n  \
-     vulfi campaign --bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--seed N] [--detectors]\n         \
-     [--strict] [--wall-limit-ms N] [--mem-limit-mb N]\n  \
-     vulfi study --bench NAME [--isa avx|sse] [--category CAT] [--experiments N] [--campaigns N] [--seed N]\n         \
-     [--store DIR] [--resume] [--jobs N] [--shard-size N] [--json] [--detectors] [--model M]\n         \
-     [--strict] [--wall-limit-ms N] [--mem-limit-mb N] [--trace DIR] [--metrics-out PATH]\n         \
-     [--prune[=on|verify]]\n  \
+     vulfi campaign --bench NAME [--isa avx|sse] [--category CAT] [--scale test|paper] [--experiments N]\n         \
+     [--seed N] [--detectors] [--model M] [--strict] [--wall-limit-ms N] [--mem-limit-mb N]\n  \
+     vulfi study --bench NAME [--isa avx|sse] [--category CAT] [--scale test|paper] [--experiments N]\n         \
+     [--campaigns N] [--seed N] [--store DIR] [--resume] [--jobs N] [--shard-size N] [--json]\n         \
+     [--detectors] [--model M] [--strict] [--wall-limit-ms N] [--mem-limit-mb N] [--trace DIR]\n         \
+     [--metrics-out PATH] [--prune[=on|verify]]\n  \
      vulfi results summary [--store DIR] [--json]\n  \
      vulfi results merge <SRC>... --store DST\n  \
      vulfi store fsck [--store DIR] [--repair] [--json]\n  \
@@ -81,7 +81,7 @@ fn usage() -> String {
      [--tenant NAME] [--wait] [--json] [--prune]\n  \
      vulfi status [KEY] [--addr HOST:PORT] [--report] [--json]\n  \
      vulfi shutdown [--addr HOST:PORT]\n  \
-     vulfi profile --bench NAME [--isa avx|sse] [--hotspots] [--top N] [-o FOLDED.txt]\n  \
+     vulfi profile --bench NAME [--isa avx|sse] [--scale test|paper] [--hotspots] [--top N] [-o FOLDED.txt]\n  \
      vulfi list"
         .to_string()
 }
@@ -140,7 +140,7 @@ struct Flags {
     tenant: Option<String>,
     /// `submit`: poll the study to completion before exiting.
     wait: bool,
-    /// `submit`: workload input scale ("test" or "paper").
+    /// `study`/`submit`/`campaign`/`profile`: input scale (test|paper).
     scale: String,
     /// `status KEY`: fetch the analytics report instead of the status.
     report: bool,
@@ -519,51 +519,39 @@ fn run(args: &[String]) -> Result<(), String> {
             emit(&vir::printer::print_module(&m), &flags.out)
         }
         "campaign" => {
-            let name = flags.bench.as_deref().ok_or("campaign requires --bench")?;
-            let scale = vbench::Scale::Test;
-            let w = vbench::study_benchmark(name, flags.isa, scale)
-                .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-                .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
-            let category = flags.category.unwrap_or(SiteCategory::PureData);
+            // The cell `vulfi study` runs for the same flags, as one
+            // in-memory campaign.
+            let mut cell = vulfi_orch::Cell::build(&spec_from_flags(&flags)?)?;
+            apply_limits(&mut cell.prog, &flags);
+            let (w, prog) = (&*cell.workload, &cell.prog);
             let experiments = flags.experiments.unwrap_or(200);
             vulfi::set_strict(flags.strict);
-            let run_one = |w: &dyn Workload| -> Result<(), String> {
-                let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-                apply_limits(&mut prog, &flags);
+            println!(
+                "benchmark {} [{}], category {}, {} static sites, {} experiments, seed {}",
+                w.name(),
+                flags.isa,
+                prog.category,
+                prog.sites.len(),
+                experiments,
+                flags.seed
+            );
+            let c =
+                vulfi::run_campaign(prog, w, experiments, flags.seed).map_err(|e| e.to_string())?;
+            println!(
+                "SDC {:5.1}%   Benign {:5.1}%   Crash {:5.1}%",
+                c.counts.sdc_rate(),
+                c.counts.benign_rate(),
+                c.counts.crash_rate()
+            );
+            if c.counts.detected > 0 || c.counts.sdc_detected > 0 {
                 println!(
-                    "benchmark {} [{}], category {}, {} static sites, {} experiments, seed {}",
-                    w.name(),
-                    flags.isa,
-                    category,
-                    prog.sites.len(),
-                    experiments,
-                    flags.seed
+                    "detections: {} total, SDC detection rate {:.1}%",
+                    c.counts.detected,
+                    c.counts.sdc_detection_rate()
                 );
-                let c = vulfi::run_campaign(&prog, w, experiments, flags.seed)
-                    .map_err(|e| e.to_string())?;
-                println!(
-                    "SDC {:5.1}%   Benign {:5.1}%   Crash {:5.1}%",
-                    c.counts.sdc_rate(),
-                    c.counts.benign_rate(),
-                    c.counts.crash_rate()
-                );
-                if c.counts.detected > 0 || c.counts.sdc_detected > 0 {
-                    println!(
-                        "detections: {} total, SDC detection rate {:.1}%",
-                        c.counts.detected,
-                        c.counts.sdc_detection_rate()
-                    );
-                }
-                report_engine_faults();
-                Ok(())
-            };
-            if flags.detectors {
-                let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-                    .map_err(|e| e.to_string())?;
-                run_one(&wd)
-            } else {
-                run_one(&w)
             }
+            report_engine_faults();
+            Ok(())
         }
         "study" => run_study_cmd(&flags),
         "results" => match flags.positional.first().map(String::as_str) {
@@ -628,11 +616,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "status" => status_cmd(&flags),
         "shutdown" => shutdown_cmd(&flags),
         "profile" => {
-            let name = flags.bench.as_deref().ok_or("profile requires --bench")?;
-            let scale = vbench::Scale::Test;
-            let w = vbench::study_benchmark(name, flags.isa, scale)
-                .or_else(|| vbench::micro_benchmark(name, flags.isa, scale))
-                .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))?;
+            let cell = vulfi_orch::Cell::build(&spec_from_flags(&flags)?)?;
+            let w = &*cell.workload;
             let mut interp = vexec::Interp::new(w.module());
             interp.enable_profiling();
             if flags.hotspots {
@@ -796,9 +781,7 @@ fn isa_name(isa: VectorIsa) -> &'static str {
 }
 
 fn load_bench(name: &str, isa: VectorIsa) -> Result<vbench::SpmdWorkload, String> {
-    let scale = vbench::Scale::Test;
-    vbench::study_benchmark(name, isa, scale)
-        .or_else(|| vbench::micro_benchmark(name, isa, scale))
+    vbench::benchmark(name, isa, vbench::Scale::Test)
         .ok_or_else(|| format!("unknown benchmark '{name}' (see `vulfi list`)"))
 }
 
@@ -923,214 +906,191 @@ fn lint_cmd(flags: &Flags) -> Result<(), String> {
 }
 
 /// `vulfi study`: run (or resume) a persistent study through the store.
+/// The spec comes from the same flags-to-spec path as `vulfi submit`, so
+/// both name the same cell.
 fn run_study_cmd(flags: &Flags) -> Result<(), String> {
-    let name = flags.bench.as_deref().ok_or("study requires --bench")?;
+    let spec = spec_from_flags(flags)?;
     if let Some(j) = flags.jobs {
         vulfi_orch::set_jobs(j);
     }
-    let w = load_bench(name, flags.isa)?;
-    let category = flags.category.unwrap_or(SiteCategory::PureData);
-    let cfg = vulfi::StudyConfig {
-        experiments_per_campaign: flags.experiments.unwrap_or(25),
-        max_campaigns: flags.campaigns,
-        seed: flags.seed,
-        model: match flags.model.as_deref() {
-            Some(m) => vulfi::FaultModel::parse(m)?,
-            None => vulfi::FaultModel::default(),
-        },
-        // `--prune=verify` runs the full study (same key as an unpruned
-        // run) and cross-validates predictions post-hoc; only `--prune`
-        // / `--prune=on` actually discharges experiments.
-        prune: flags.prune.as_deref() == Some("on"),
-        ..vulfi::StudyConfig::default()
-    };
-    if flags.prune.is_some() && cfg.model != vulfi::FaultModel::SingleBitFlip {
-        return Err(format!(
-            "--prune requires the single-bit-flip model, not '{}'",
-            cfg.model
-        ));
-    }
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
-    let isa = isa_name(flags.isa);
     vulfi::set_strict(flags.strict);
-
-    let run_one = |w: &dyn Workload| -> Result<(), String> {
-        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        prog.model = cfg.model;
-        apply_limits(&mut prog, flags);
-        let key = vulfi_orch::study_key(&prog, w.name(), isa, &cfg);
-        let study = store.study(&key);
-        if study.exists() && !flags.resume {
-            let done = study.shards().map_err(|e| e.to_string())?;
-            let plan = vulfi_orch::plan_shards(&cfg, flags.shard_size);
-            let pending = vulfi_orch::missing_jobs(&plan, &done, &cfg).len();
-            if pending > 0 && pending < plan.len() {
-                return Err(format!(
-                    "study {key} has partial results ({}/{} shards stored); \
-                     pass --resume to execute only the missing shards, or remove {}",
-                    plan.len() - pending,
-                    plan.len(),
-                    study.dir().display()
-                ));
-            }
-        }
-        let progress: Option<vulfi_orch::ProgressFn> = Some(make_progress_reporter(flags.json));
-        let out = vulfi_orch::run_study_persistent(
-            &prog,
-            w,
-            w.name(),
-            isa,
-            &cfg,
+    let mut cell = vulfi_orch::Cell::build(&spec)?;
+    apply_limits(&mut cell.prog, flags);
+    require_resume_if_partial(&cell, &store, flags, "study")?;
+    let out = cell
+        .run(
             &store,
             vulfi_orch::RunOptions {
-                shard_size: flags.shard_size,
-                max_shards: None,
-                progress,
+                progress: Some(make_progress_reporter(flags.json)),
                 trace: flags.trace.as_ref().map(std::path::PathBuf::from),
+                ..Default::default()
             },
         )
         .map_err(|e| e.to_string())?;
-        if let Some(path) = &flags.metrics_out {
-            write_metrics(path)?;
-        }
-        let r = out
-            .result
-            .ok_or_else(|| "study incomplete after run (store corrupted?)".to_string())?;
-        // Pruning accounting and `--prune=verify` cross-validation both
-        // read the stored shards back (cheap: the study just ran or was
-        // cached under the same key).
-        let prune_mode = flags.prune.as_deref();
-        let (discharged, soundness) = if prune_mode.is_some() {
-            let done = store.study(&out.key).shards().map_err(|e| e.to_string())?;
-            let discharged = done
-                .iter()
-                .flat_map(|s| &s.experiments)
-                .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
-                .count() as u64;
-            let soundness = if prune_mode == Some("verify") {
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
-            } else {
-                None
-            };
-            (discharged, soundness)
-        } else {
-            (0, None)
-        };
-        if flags.json {
-            let mut doc = serde_json::json!({
-                "key": out.key.0.clone(),
-                "workload": w.name(),
-                "isa": isa,
-                "category": category.name(),
-                "model": cfg.model.name(),
-                "mean_sdc": r.summary.mean,
-                "margin_95": r.summary.margin_95,
-                "campaigns": r.summary.campaigns,
-                "converged": r.converged,
-                "samples": r.samples.clone(),
-                "counts": serde_json::to_value(&r.counts).unwrap(),
-                "shards_total": out.total_shards as u64,
-                "shards_reused": out.reused_shards as u64,
-                "shards_executed": out.executed_shards as u64,
-                "wall_ns": out.wall_ns,
-                "dyn_insts": out.dyn_insts,
-            });
-            if let Some(mode) = prune_mode {
-                if let serde_json::Value::Object(o) = &mut doc {
-                    o.push(("prune".to_string(), serde_json::json!(mode)));
-                    o.push(("discharged".to_string(), serde_json::json!(discharged)));
-                    if let Some(s) = &soundness {
-                        o.push((
-                            "soundness".to_string(),
-                            serde_json::json!({
-                                "checked": s.checked,
-                                "predicted_benign": s.predicted_benign,
-                                "violations": s.violations.len() as u64,
-                            }),
-                        ));
-                    }
-                }
-            }
-            println!("{}", serde_json::to_string_pretty(&doc).unwrap());
-        } else {
-            println!(
-                "study {} [{}], category {}, key {}",
-                w.name(),
-                isa,
-                category,
-                out.key
-            );
-            println!(
-                "shards: {} total, {} reused, {} executed",
-                out.total_shards, out.reused_shards, out.executed_shards
-            );
-            println!(
-                "SDC {:.1}% ± {:.1} over {} campaigns ({})",
-                r.summary.mean,
-                r.summary.margin_95,
-                r.summary.campaigns,
-                if r.converged {
-                    "converged"
-                } else {
-                    "not converged"
-                }
-            );
-            println!(
-                "counts: SDC {} Benign {} Crash {} | {} dyn insts | {:.2}s wall",
-                r.counts.sdc,
-                r.counts.benign,
-                r.counts.crash,
-                out.dyn_insts,
-                out.wall_ns as f64 / 1e9
-            );
-            if r.counts.detected > 0 {
-                println!(
-                    "detections: {} total, SDC detection rate {:.1}%",
-                    r.counts.detected,
-                    r.counts.sdc_detection_rate()
-                );
-            }
-            if prune_mode == Some("on") {
-                let total = r.counts.total().max(1);
-                println!(
-                    "pruning: {} of {} experiments statically discharged ({:.1}%) without execution",
-                    discharged,
-                    r.counts.total(),
-                    100.0 * discharged as f64 / total as f64
-                );
-            }
-            if let Some(s) = &soundness {
-                println!(
-                    "soundness: {} injection(s) checked, {} predicted benign, {} violation(s)",
-                    s.checked,
-                    s.predicted_benign,
-                    s.violations.len()
-                );
-            }
-        }
-        report_engine_faults();
-        if let Some(s) = &soundness {
-            if !s.is_sound() {
-                let mut msg = format!(
-                    "prediction soundness violated: {} predicted-benign injection(s) \
-                     had a non-benign or detected outcome",
-                    s.violations.len()
-                );
-                for v in s.violations.iter().take(5) {
-                    msg.push_str(&format!("\n  {v}"));
-                }
-                return Err(msg);
-            }
-        }
-        Ok(())
-    };
-    if flags.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        run_one(&wd)
-    } else {
-        run_one(&w)
+    let w = &*cell.workload;
+    let (isa, category, cfg) = (spec.isa.as_str(), cell.prog.category, cell.cfg);
+    if let Some(path) = &flags.metrics_out {
+        write_metrics(path)?;
     }
+    let r = out
+        .result
+        .ok_or_else(|| "study incomplete after run (store corrupted?)".to_string())?;
+    // Pruning accounting and `--prune=verify` cross-validation both
+    // read the stored shards back (cheap: the study just ran or was
+    // cached under the same key).
+    let prune_mode = flags.prune.as_deref();
+    let (discharged, soundness) = if prune_mode.is_some() {
+        let done = store.study(&out.key).shards().map_err(|e| e.to_string())?;
+        let discharged = done
+            .iter()
+            .flat_map(|s| &s.experiments)
+            .filter(|e| e.injection.is_none() && e.dynamic_sites > 0)
+            .count() as u64;
+        let soundness = if prune_mode == Some("verify") {
+            Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
+        } else {
+            None
+        };
+        (discharged, soundness)
+    } else {
+        (0, None)
+    };
+    if flags.json {
+        let mut doc = serde_json::json!({
+            "key": out.key.0.clone(),
+            "workload": w.name(),
+            "isa": isa,
+            "category": category.name(),
+            "model": cfg.model.name(),
+            "mean_sdc": r.summary.mean,
+            "margin_95": r.summary.margin_95,
+            "campaigns": r.summary.campaigns,
+            "converged": r.converged,
+            "samples": r.samples.clone(),
+            "counts": serde_json::to_value(&r.counts).unwrap(),
+            "shards_total": out.total_shards as u64,
+            "shards_reused": out.reused_shards as u64,
+            "shards_executed": out.executed_shards as u64,
+            "wall_ns": out.wall_ns,
+            "dyn_insts": out.dyn_insts,
+        });
+        if let Some(mode) = prune_mode {
+            if let serde_json::Value::Object(o) = &mut doc {
+                o.push(("prune".to_string(), serde_json::json!(mode)));
+                o.push(("discharged".to_string(), serde_json::json!(discharged)));
+                if let Some(s) = &soundness {
+                    o.push((
+                        "soundness".to_string(),
+                        serde_json::json!({
+                            "checked": s.checked,
+                            "predicted_benign": s.predicted_benign,
+                            "violations": s.violations.len() as u64,
+                        }),
+                    ));
+                }
+            }
+        }
+        println!("{}", serde_json::to_string_pretty(&doc).unwrap());
+    } else {
+        println!(
+            "study {} [{}], category {}, key {}",
+            w.name(),
+            isa,
+            category,
+            out.key
+        );
+        println!(
+            "shards: {} total, {} reused, {} executed",
+            out.total_shards, out.reused_shards, out.executed_shards
+        );
+        println!(
+            "SDC {:.1}% ± {:.1} over {} campaigns ({})",
+            r.summary.mean,
+            r.summary.margin_95,
+            r.summary.campaigns,
+            if r.converged {
+                "converged"
+            } else {
+                "not converged"
+            }
+        );
+        println!(
+            "counts: SDC {} Benign {} Crash {} | {} dyn insts | {:.2}s wall",
+            r.counts.sdc,
+            r.counts.benign,
+            r.counts.crash,
+            out.dyn_insts,
+            out.wall_ns as f64 / 1e9
+        );
+        if r.counts.detected > 0 {
+            println!(
+                "detections: {} total, SDC detection rate {:.1}%",
+                r.counts.detected,
+                r.counts.sdc_detection_rate()
+            );
+        }
+        if prune_mode == Some("on") {
+            let total = r.counts.total().max(1);
+            println!(
+                "pruning: {} of {} experiments statically discharged ({:.1}%) without execution",
+                discharged,
+                r.counts.total(),
+                100.0 * discharged as f64 / total as f64
+            );
+        }
+        if let Some(s) = &soundness {
+            println!(
+                "soundness: {} injection(s) checked, {} predicted benign, {} violation(s)",
+                s.checked,
+                s.predicted_benign,
+                s.violations.len()
+            );
+        }
+    }
+    report_engine_faults();
+    if let Some(s) = &soundness {
+        if !s.is_sound() {
+            let mut msg = format!(
+                "prediction soundness violated: {} predicted-benign injection(s) \
+                 had a non-benign or detected outcome",
+                s.violations.len()
+            );
+            for v in s.violations.iter().take(5) {
+                msg.push_str(&format!("\n  {v}"));
+            }
+            return Err(msg);
+        }
+    }
+    Ok(())
+}
+
+/// Refuse to extend a study (`what`: "study" or "cell") that holds
+/// partial results unless `--resume` was passed: without it, a rerun is
+/// either a fresh study or a cache hit.
+fn require_resume_if_partial(
+    cell: &vulfi_orch::Cell,
+    store: &vulfi_orch::Store,
+    flags: &Flags,
+    what: &str,
+) -> Result<(), String> {
+    let study = store.study(&cell.key);
+    if flags.resume || !study.exists() {
+        return Ok(());
+    }
+    let done = study.shards().map_err(|e| e.to_string())?;
+    let plan = vulfi_orch::plan_shards(&cell.cfg, cell.spec.shard_size);
+    let stored = plan.len() - vulfi_orch::missing_jobs(&plan, &done, &cell.cfg).len();
+    if stored == 0 || stored == plan.len() {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} {} has partial results ({stored}/{} shards stored); \
+         pass --resume to execute only the missing shards, or remove {}",
+        cell.key,
+        plan.len(),
+        study.dir().display()
+    ))
 }
 
 /// `vulfi results summary`: one line (or JSON record) per stored study.
@@ -2012,32 +1972,6 @@ fn report_html(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Build one gauntlet cell's workload (detector-wrapped when the
-/// scenario asks) and hand it to `f` — the same construction the study
-/// and submit paths use, so a gauntlet cell's key matches an equivalent
-/// `vulfi study` exactly.
-fn with_cell_workload<T>(
-    spec: &vulfi::StudySpec,
-    f: impl FnOnce(&dyn Workload) -> Result<T, String>,
-) -> Result<T, String> {
-    let isa = parse_isa_name(&spec.isa).ok_or_else(|| format!("unknown isa '{}'", spec.isa))?;
-    let scale = if spec.scale == "paper" {
-        vbench::Scale::Paper
-    } else {
-        vbench::Scale::Test
-    };
-    let w = vbench::study_benchmark(&spec.bench, isa, scale)
-        .or_else(|| vbench::micro_benchmark(&spec.bench, isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{}' (see `vulfi list`)", spec.bench))?;
-    if spec.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        f(&wd)
-    } else {
-        f(&w)
-    }
-}
-
 /// Read the scenario file named by the subcommand's positional argument.
 fn load_scenario(flags: &Flags) -> Result<vulfi_orch::Scenario, String> {
     let path = flags
@@ -2073,65 +2007,18 @@ fn gauntlet_run(flags: &Flags) -> Result<(), String> {
                 spec.model
             );
         }
-        let cell = with_cell_workload(spec, |w| {
-            let category = spec.site_category()?;
-            let cfg = spec.study_config();
-            let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-            prog.model = cfg.model;
-            apply_limits(&mut prog, flags);
-            let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-            let study = store.study(&key);
-            if study.exists() && !flags.resume {
-                let done = study.shards().map_err(|e| e.to_string())?;
-                let plan = vulfi_orch::plan_shards(&cfg, spec.shard_size);
-                let pending = vulfi_orch::missing_jobs(&plan, &done, &cfg).len();
-                if pending > 0 && pending < plan.len() {
-                    return Err(format!(
-                        "cell {key} has partial results ({}/{} shards stored); \
-                         pass --resume to execute only the missing shards, or remove {}",
-                        plan.len() - pending,
-                        plan.len(),
-                        study.dir().display()
-                    ));
-                }
-            }
-            let out = vulfi_orch::run_study_persistent(
-                &prog,
-                w,
-                w.name(),
-                &spec.isa,
-                &cfg,
-                &store,
-                vulfi_orch::RunOptions {
-                    shard_size: spec.shard_size,
-                    max_shards: None,
-                    progress: None,
-                    trace: flags.trace.as_ref().map(std::path::PathBuf::from),
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            let r = out
-                .result
-                .ok_or_else(|| "cell incomplete after run (store corrupted?)".to_string())?;
-            // `prune = "verify"` cells run unpruned; cross-validate the
-            // analyzer's predictions against the stored records so the
-            // prediction_soundness invariant has data to judge.
-            let soundness = if scenario.prune == "verify" {
-                let done = store.study(&out.key).shards().map_err(|e| e.to_string())?;
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
-            } else {
-                None
-            };
-            Ok((out.key, r, soundness))
-        })?;
-        let (key, result, soundness) = cell;
-        verdicts.push(vulfi_orch::cell_verdict(
-            spec,
-            &key.0,
-            &result,
-            &scenario.invariants,
-            soundness.as_ref(),
-        ));
+        let mut cell = vulfi_orch::Cell::build(spec)?;
+        apply_limits(&mut cell.prog, flags);
+        require_resume_if_partial(&cell, &store, flags, "cell")?;
+        cell.run(
+            &store,
+            vulfi_orch::RunOptions {
+                trace: flags.trace.as_ref().map(std::path::PathBuf::from),
+                ..Default::default()
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        verdicts.push(judge_cell(&scenario, &cell, &store)?);
     }
     let report = vulfi_orch::GauntletReport {
         scenario: scenario.name.clone(),
@@ -2160,6 +2047,44 @@ fn gauntlet_run(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Judge one gauntlet cell from its stored shards — the one judgement
+/// `gauntlet run` and `gauntlet report` share. `prune = "verify"` cells
+/// also cross-validate the analyzer's predictions against the records,
+/// so the prediction_soundness invariant has data to judge.
+fn judge_cell(
+    scenario: &vulfi_orch::Scenario,
+    cell: &vulfi_orch::Cell,
+    store: &vulfi_orch::Store,
+) -> Result<vulfi_orch::CellVerdict, String> {
+    let (spec, key) = (&cell.spec, &cell.key);
+    let name = format!(
+        "{}/{}/{}/{}",
+        spec.bench, spec.isa, spec.category, spec.model
+    );
+    let study = store.study(key);
+    if !study.exists() {
+        return Err(format!(
+            "cell {name} ({key}) not in store; run `vulfi gauntlet run` first"
+        ));
+    }
+    let done = study.shards().map_err(|e| e.to_string())?;
+    let result = vulfi_orch::merge(&cell.cfg, cell.prog.category, &done).ok_or_else(|| {
+        format!("cell {name} ({key}) is partial; finish it with `vulfi gauntlet run --resume`")
+    })?;
+    let soundness = if scenario.prune == "verify" {
+        Some(vulfi_orch::verify_soundness(&*cell.workload, &done).map_err(|e| e.to_string())?)
+    } else {
+        None
+    };
+    Ok(vulfi_orch::cell_verdict(
+        spec,
+        &key.0,
+        &result,
+        &scenario.invariants,
+        soundness.as_ref(),
+    ))
+}
+
 /// `vulfi gauntlet report`: judge an already-executed gauntlet from the
 /// store (no execution) and render the verdicts into the HTML report.
 fn gauntlet_report(flags: &Flags) -> Result<(), String> {
@@ -2167,41 +2092,8 @@ fn gauntlet_report(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
     let mut verdicts = Vec::new();
     for spec in scenario.expand() {
-        let cell = with_cell_workload(&spec, |w| {
-            let category = spec.site_category()?;
-            let cfg = spec.study_config();
-            let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-            prog.model = cfg.model;
-            let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-            let study = store.study(&key);
-            let cell_name = format!(
-                "{}/{}/{}/{}",
-                spec.bench, spec.isa, spec.category, spec.model
-            );
-            if !study.exists() {
-                return Err(format!(
-                    "cell {cell_name} ({key}) not in store; run `vulfi gauntlet run` first"
-                ));
-            }
-            let done = study.shards().map_err(|e| e.to_string())?;
-            let r = vulfi_orch::merge(&cfg, category, &done).ok_or_else(|| {
-                format!("cell {cell_name} ({key}) is partial; finish it with `vulfi gauntlet run --resume`")
-            })?;
-            let soundness = if scenario.prune == "verify" {
-                Some(vulfi_orch::verify_soundness(w, &done).map_err(|e| e.to_string())?)
-            } else {
-                None
-            };
-            Ok((key, r, soundness))
-        })?;
-        let (key, result, soundness) = cell;
-        verdicts.push(vulfi_orch::cell_verdict(
-            &spec,
-            &key.0,
-            &result,
-            &scenario.invariants,
-            soundness.as_ref(),
-        ));
+        let cell = vulfi_orch::Cell::build(&spec)?;
+        verdicts.push(judge_cell(&scenario, &cell, &store)?);
     }
     let report = vulfi_orch::GauntletReport {
         scenario: scenario.name.clone(),
@@ -2633,10 +2525,12 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
     daemon.run()
 }
 
-/// Build the wire spec from the same flags `vulfi study` takes.
+/// Build the study spec from flags: the one path `vulfi study` and
+/// `vulfi submit` share. `--prune=verify` runs the full study, so its
+/// spec is unpruned; the cross-validation is a `vulfi study` post-check.
 fn spec_from_flags(flags: &Flags) -> Result<vulfi::StudySpec, String> {
     let spec = vulfi::StudySpec {
-        bench: flags.bench.clone().ok_or("submit requires --bench")?,
+        bench: flags.bench.clone().ok_or("--bench NAME is required")?,
         isa: isa_name(flags.isa).to_string(),
         category: flags
             .category
@@ -2653,17 +2547,14 @@ fn spec_from_flags(flags: &Flags) -> Result<vulfi::StudySpec, String> {
             .model
             .clone()
             .unwrap_or_else(|| vulfi::FaultModel::default().name()),
-        prune: match flags.prune.as_deref() {
-            None => false,
-            Some("on") => true,
-            Some(other) => {
-                return Err(format!(
-                    "submit supports only --prune / --prune=on, not --prune={other} \
-                     (run --prune=verify locally with `vulfi study`)"
-                ))
-            }
-        },
+        prune: flags.prune.as_deref() == Some("on"),
     };
+    if flags.prune.is_some() && spec.fault_model()? != vulfi::FaultModel::SingleBitFlip {
+        return Err(format!(
+            "--prune requires the single-bit-flip model, not '{}'",
+            spec.model
+        ));
+    }
     spec.validate()?;
     Ok(spec)
 }
@@ -2671,6 +2562,13 @@ fn spec_from_flags(flags: &Flags) -> Result<vulfi::StudySpec, String> {
 /// `vulfi submit`: enqueue a study on a running daemon; with `--wait`,
 /// poll it to completion and print the result.
 fn submit_cmd(flags: &Flags) -> Result<(), String> {
+    if flags.prune.as_deref() == Some("verify") {
+        return Err(
+            "submit supports only --prune / --prune=on, not --prune=verify \
+                    (run --prune=verify locally with `vulfi study`)"
+                .to_string(),
+        );
+    }
     let spec = spec_from_flags(flags)?;
     let client = vulfi_serve::Client::new(flags.addr.clone());
     let body = serde_json::to_value(&spec).map_err(|e| e.to_string())?;
@@ -3347,6 +3245,49 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
     }
 
     #[test]
+    fn study_scale_flag_builds_a_paper_scale_cell() {
+        let store = temp_store("paper_scale");
+        let args = |scale: &str| {
+            s(&[
+                "study",
+                "--bench",
+                "vector sum",
+                "--experiments",
+                "3",
+                "--campaigns",
+                "2",
+                "--scale",
+                scale,
+                "--store",
+                &store,
+            ])
+        };
+        let cell = |scale: &str| {
+            let spec = spec_from_flags(&parse_flags(&args(scale)[1..]).unwrap()).unwrap();
+            vulfi_orch::Cell::build(&spec).unwrap()
+        };
+        let (paper, test) = (cell("paper"), cell("test"));
+        assert_ne!(paper.key, test.key, "the scale must reach the key");
+        run(&args("paper")).unwrap();
+        let keys = vulfi_orch::Store::open(&store).unwrap().studies().unwrap();
+        assert_eq!(
+            keys,
+            vec![paper.key],
+            "study --scale paper ran a test-scale cell"
+        );
+        // The direct-build commands reject a bad scale like the spec does.
+        let e = run(&s(&[
+            "campaign",
+            "--bench",
+            "vector sum",
+            "--scale",
+            "huge",
+        ]))
+        .unwrap_err();
+        assert!(e.contains("huge"), "{e}");
+    }
+
+    #[test]
     fn partial_study_requires_resume_flag() {
         let store_dir = temp_store("partial");
         // Simulate a killed run: execute only 1 shard through the orch API
@@ -3521,12 +3462,15 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let e = parse_flags(&s(&["--prune=sometimes"])).unwrap_err();
         assert!(e.contains("sometimes"), "{e}");
 
-        // submit mirrors --prune into the spec but refuses verify: the
-        // post-hoc soundness scan is a local-CLI affordance.
+        // The shared spec mirrors --prune; verify runs the full study, so
+        // its spec is unpruned. submit refuses verify (before contacting
+        // any daemon): the post-hoc soundness scan is a local-CLI
+        // affordance.
         let mut f = parse_flags(&s(&["--bench", "vector sum", "--prune"])).unwrap();
         assert!(spec_from_flags(&f).unwrap().prune);
         f.prune = Some("verify".to_string());
-        let e = spec_from_flags(&f).unwrap_err();
+        assert!(!spec_from_flags(&f).unwrap().prune);
+        let e = submit_cmd(&f).unwrap_err();
         assert!(e.contains("verify"), "{e}");
     }
 

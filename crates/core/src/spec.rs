@@ -1,15 +1,14 @@
 //! Serializable study specifications — the wire format a client submits
 //! to an injection service.
 //!
-//! `vulfi study` derives its configuration from CLI flags in-process; a
-//! long-running service instead receives a [`StudySpec`] as JSON, checks
-//! it with [`StudySpec::validate`], and expands it into the benchmark
+//! `vulfi study` builds a spec from its CLI flags; a long-running service
+//! instead receives a [`StudySpec`] as JSON. Either way the spec is
+//! checked with [`StudySpec::validate`] and expanded into the benchmark
 //! name plus a [`StudyConfig`]. The spec deliberately carries *names*
-//! (benchmark, ISA, category) rather than compiled artifacts: the
-//! executing worker compiles and instruments the workload itself, which
-//! is what makes the scheme safe for multi-host fleets — every worker
-//! deterministically reproduces the same instrumented module, and the
-//! content-addressed study key pins the identity.
+//! (benchmark, ISA, category, scale) rather than compiled artifacts:
+//! whoever executes it rebuilds the instrumented module from those names
+//! deterministically, and the content-addressed study key pins the
+//! identity.
 
 use vir::analysis::SiteCategory;
 

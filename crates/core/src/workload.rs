@@ -46,6 +46,30 @@ pub trait Workload: Sync {
     fn setup(&self, mem: &mut Memory, input: u64) -> Result<SetupResult, Trap>;
 }
 
+/// A borrowed workload is a workload, so wrappers that own their inner
+/// workload (e.g. a detector-augmented one) also accept a reference.
+impl<W: Workload + ?Sized> Workload for &W {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn entry(&self) -> &str {
+        (**self).entry()
+    }
+
+    fn module(&self) -> &Module {
+        (**self).module()
+    }
+
+    fn num_inputs(&self) -> u64 {
+        (**self).num_inputs()
+    }
+
+    fn setup(&self, mem: &mut Memory, input: u64) -> Result<SetupResult, Trap> {
+        (**self).setup(mem, input)
+    }
+}
+
 /// Snapshot the observable output of a finished run: the concatenated
 /// output-region bytes plus the returned value's raw bits.
 pub fn snapshot_outputs(

@@ -30,17 +30,18 @@ impl Default for DetectorConfig {
     }
 }
 
-/// A workload whose module has detectors inserted.
-pub struct WithDetectors<'w> {
-    inner: &'w dyn Workload,
+/// A workload whose module has detectors inserted. It owns its inner
+/// workload; pass `&w` to wrap a borrowed one.
+pub struct WithDetectors<W: Workload> {
+    inner: W,
     module: Module,
     /// Detector blocks / checker calls inserted.
     pub foreach_detectors: usize,
     pub uniform_detectors: usize,
 }
 
-impl<'w> WithDetectors<'w> {
-    pub fn new(inner: &'w dyn Workload, cfg: DetectorConfig) -> Result<WithDetectors<'w>, String> {
+impl<W: Workload> WithDetectors<W> {
+    pub fn new(inner: W, cfg: DetectorConfig) -> Result<WithDetectors<W>, String> {
         let mut module = inner.module().clone();
         let mut foreach_detectors = 0;
         let mut uniform_detectors = 0;
@@ -60,7 +61,7 @@ impl<'w> WithDetectors<'w> {
     }
 }
 
-impl Workload for WithDetectors<'_> {
+impl<W: Workload> Workload for WithDetectors<W> {
     fn name(&self) -> &str {
         self.inner.name()
     }

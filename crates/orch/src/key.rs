@@ -3,11 +3,11 @@
 //! A study is identified by everything that determines its results: the
 //! instrumented module's printed IR (which embeds the ISA lowering and
 //! the injection category's instrumentation), the entry function, the
-//! fault-site category, the workload and ISA names, and the full
-//! [`StudyConfig`] including the seed. Two invocations with the same key
-//! are bit-identical experiments, so the store can cache and resume them
-//! freely; changing any ingredient changes the key and lands in a fresh
-//! directory.
+//! fault-site category, the workload and ISA names, the full
+//! [`StudyConfig`] including the seed, and a spec's non-test input
+//! scale. Two invocations with the same key are bit-identical
+//! experiments, so the store can cache and resume them freely; changing
+//! any ingredient changes the key and lands in a fresh directory.
 
 use vulfi::{Prepared, StudyConfig};
 
@@ -46,6 +46,18 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
 
 /// Compute the study key of a prepared program under a configuration.
 pub fn study_key(prog: &Prepared, workload_name: &str, isa: &str, cfg: &StudyConfig) -> StudyKey {
+    study_key_with(prog, workload_name, isa, cfg, &[])
+}
+
+/// [`study_key`] plus canon parts that are passed only when not at their
+/// default (`Cell`'s `scale:paper`), so keys minted without them stay.
+pub(crate) fn study_key_with(
+    prog: &Prepared,
+    workload_name: &str,
+    isa: &str,
+    cfg: &StudyConfig,
+    extra: &[&str],
+) -> StudyKey {
     let module_text = vir::printer::print_module(&prog.module);
     let mut canon = String::new();
     for part in [
@@ -78,6 +90,10 @@ pub fn study_key(prog: &Prepared, workload_name: &str, isa: &str, cfg: &StudyCon
     // key minted before pruning existed.
     if cfg.prune {
         canon.push_str("prune:on");
+        canon.push('\0');
+    }
+    for part in extra {
+        canon.push_str(part);
         canon.push('\0');
     }
     // Two independent FNV-1a streams (distinct offset bases) give 128

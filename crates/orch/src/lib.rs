@@ -7,7 +7,8 @@
 //! - **Content-addressed studies** ([`key`]): a study's identity is the
 //!   hash of its instrumented IR, category, ISA, seed, and full
 //!   configuration, so re-running a finished study is a cache hit and
-//!   changing any input lands in a fresh directory.
+//!   changing any input lands in a fresh directory. [`Cell::build`] is
+//!   the one path from a [`vulfi::StudySpec`] to a program and its key.
 //! - **Crash-tolerant persistence** ([`store`]): shards append to a
 //!   checksummed JSONL log; the manifest is replaced atomically. Killing
 //!   a run loses at most the in-flight shards, a flipped byte is detected
@@ -38,6 +39,7 @@
 
 pub mod alerts;
 pub mod analytics;
+pub mod cell;
 pub mod crc;
 pub mod events;
 pub mod key;
@@ -64,6 +66,7 @@ pub use analytics::{
     DiffReport, LaneBitCell, MetricRow, OccupancyBucket, OccupancyProfile, ReportInputs, SiteRow,
     StudyCell, WorkloadHeatmap,
 };
+pub use cell::Cell;
 pub use crc::crc32;
 pub use events::{summarize_events, JobLifecycle, OpsEvent, OpsKind, OpsLog, OpsSummary};
 pub use key::{study_key, StudyKey};

@@ -7,7 +7,10 @@
 
 use std::time::Instant;
 
-use vulfi::OutcomeCounts;
+use vulfi::{OutcomeCounts, StudyConfig};
+
+use crate::plan::covered_experiments;
+use crate::store::ShardRecord;
 
 /// Time constant of the throughput EWMA: a shard landed `tau` seconds
 /// ago has decayed to ~37% weight. Ten seconds tracks ramp-up and
@@ -84,6 +87,27 @@ impl Progress {
             started: now,
             last_shard: now,
             ewma_eps: None,
+        }
+    }
+
+    /// Progress of a study resuming over its stored shards `done`.
+    pub fn resume(cfg: &StudyConfig, done: &[ShardRecord]) -> Progress {
+        let mut p = Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
+        p.resumed = covered_experiments(done, cfg) as u64;
+        done.iter().for_each(|rec| p.fold(rec));
+        p
+    }
+
+    /// Fold in one shard this invocation executed.
+    pub fn add_shard(&mut self, rec: &ShardRecord) {
+        self.note_shard(rec.experiments.len() as u64);
+        self.fold(rec);
+    }
+
+    fn fold(&mut self, rec: &ShardRecord) {
+        for e in &rec.experiments {
+            self.counts.add(e);
+            self.dyn_insts += e.golden_dyn_insts;
         }
     }
 

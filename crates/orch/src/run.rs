@@ -14,10 +14,8 @@ use vulfi::{
 
 use crate::key::{study_key, StudyKey};
 use crate::observe::{Progress, ProgressSnapshot};
-use crate::plan::{
-    covered_experiments, merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob,
-};
-use crate::store::{Manifest, ShardRecord, Store};
+use crate::plan::{merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob};
+use crate::store::{Manifest, ShardRecord, Store, StudyStore};
 use crate::tracestore::{TraceShard, TraceStore};
 use crate::OrchError;
 
@@ -155,7 +153,51 @@ pub fn run_study_persistent(
     store: &Store,
     opts: RunOptions,
 ) -> Result<RunOutcome, OrchError> {
+    let key = study_key(prog, workload_name, isa, cfg);
+    let manifest = fresh_manifest(key, workload_name, isa, prog, cfg, opts.shard_size);
+    run_manifest(&manifest, prog, workload, store, opts)
+}
+
+/// The manifest of a study not yet in any store.
+pub(crate) fn fresh_manifest(
+    key: StudyKey,
+    workload_name: &str,
+    isa: &str,
+    prog: &Prepared,
+    cfg: &StudyConfig,
+    shard_size: usize,
+) -> Manifest {
+    Manifest {
+        key,
+        workload: workload_name.to_string(),
+        isa: isa.to_string(),
+        category: prog.category,
+        entry: prog.entry.clone(),
+        cfg: *cfg,
+        total_shards: plan_shards(cfg, shard_size).len() as u64,
+        complete: false,
+    }
+}
+
+/// Open `m.key`'s study, creating it with manifest `m` when new.
+pub(crate) fn open_study(store: &Store, m: &Manifest) -> Result<StudyStore, OrchError> {
+    let study = store.study(&m.key);
+    if !study.exists() {
+        study.write_manifest(m)?;
+    }
+    Ok(study)
+}
+
+/// [`run_study_persistent`] for the study manifest `m` describes.
+pub(crate) fn run_manifest(
+    m: &Manifest,
+    prog: &Prepared,
+    workload: &dyn Workload,
+    store: &Store,
+    opts: RunOptions,
+) -> Result<RunOutcome, OrchError> {
     let started = Instant::now();
+    let cfg = &m.cfg;
     if prog.model != cfg.model {
         // The model rides on both the prepared program (the injector
         // reads it) and the config (the key hashes it); letting them
@@ -172,22 +214,9 @@ pub fn run_study_persistent(
                 .to_string(),
         ));
     }
-    let key = study_key(prog, workload_name, isa, cfg);
-    let study = store.study(&key);
+    let key = m.key.clone();
+    let study = open_study(store, m)?;
     let plan = plan_shards(cfg, opts.shard_size);
-
-    if !study.exists() {
-        study.write_manifest(&Manifest {
-            key: key.clone(),
-            workload: workload_name.to_string(),
-            isa: isa.to_string(),
-            category: prog.category,
-            entry: prog.entry.clone(),
-            cfg: *cfg,
-            total_shards: plan.len() as u64,
-            complete: false,
-        })?;
-    }
 
     // Open the trace sidecar first so a bad --trace path fails before
     // any work, and heal its own kill artifact the same way as the
@@ -223,14 +252,7 @@ pub fn run_study_persistent(
         None
     };
 
-    let mut progress = Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
-    progress.resumed = covered_experiments(&done, cfg) as u64;
-    for rec in &done {
-        for e in &rec.experiments {
-            progress.counts.add(e);
-            progress.dyn_insts += e.golden_dyn_insts;
-        }
-    }
+    let progress = Progress::resume(cfg, &done);
 
     // One lock serializes the append-only logs, the progress counters,
     // and the user's callback; experiment execution itself runs outside
@@ -270,18 +292,14 @@ pub fn run_study_persistent(
                     campaign: job.campaign,
                     start: job.start,
                     end: job.end,
-                    workload: workload_name.to_string(),
+                    workload: m.workload.clone(),
                     category: prog.category.name().to_string(),
-                    isa: isa.to_string(),
+                    isa: m.isa.clone(),
                     model: prog.model.name(),
                     traces: spans,
                 })?;
             }
-            progress.note_shard(rec.experiments.len() as u64);
-            for e in &rec.experiments {
-                progress.counts.add(e);
-                progress.dyn_insts += e.golden_dyn_insts;
-            }
+            progress.add_shard(&rec);
             if let Some(cb) = &opts.progress {
                 // A panicking observer must not kill the study: the
                 // shard is already persisted; reporting is best-effort.

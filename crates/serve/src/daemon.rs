@@ -4,14 +4,15 @@
 //!
 //! The daemon runs **one study at a time**, in submission order, with
 //! every worker thread collaborating on it through a shared
-//! [`LeaseBoard`]. Workers are *shared-nothing*: each one compiles and
-//! instruments the submitted benchmark itself from the [`StudySpec`]
-//! names (never from bytes shipped over the wire), which is exactly what
-//! makes the scheme extendable to multi-host fleets — every executor
-//! deterministically reproduces the same instrumented module, and the
-//! content-addressed study key pins that identity. A worker whose
-//! self-derived key disagrees with the submitted one fails the job
-//! instead of contaminating the store.
+//! [`LeaseBoard`]. There is **one prepared cell per active study**: the
+//! worker that promotes a queued job builds its [`Cell`] from the
+//! [`StudySpec`] names (never from bytes shipped over the wire) — the
+//! compiled, instrumented program, its key, and its prune context when
+//! the study is pruned — and every worker runs shards on that one
+//! program, sharing its decoded bytecode and its per-input golden cache.
+//! The key cross-check runs once, at promotion: a key re-derived from
+//! the spec that disagrees with the submitted one fails the job instead
+//! of contaminating the store.
 //!
 //! ## Crash and restart semantics
 //!
@@ -36,13 +37,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use spmdc::VectorIsa;
-use vulfi::{OutcomeCounts, StudySpec, Workload};
+use vulfi::{PruneContext, StudySpec};
 use vulfi_orch::{
-    covered_experiments, load_cells, merge, missing_jobs, parse_alert_rules, plan_shards,
-    render_alerts_json, run_shard, sparkline_svg, AlertEngine, AlertState, JobQueue, JobRecord,
-    JobState, LeaseBoard, Manifest, OpsEvent, OpsKind, OpsLog, Progress, Sampler, SamplerInputs,
-    Store, StudyKey, StudyStore, TelemetryLog, TelemetryRing, DEFAULT_RING_CAPACITY,
+    load_cells, merge, missing_jobs, parse_alert_rules, plan_shards, render_alerts_json, run_shard,
+    sparkline_svg, AlertEngine, AlertState, Cell, JobQueue, JobRecord, JobState, LeaseBoard,
+    OpsEvent, OpsKind, OpsLog, Progress, Sampler, SamplerInputs, Store, StudyKey, StudyStore,
+    TelemetryLog, TelemetryRing, DEFAULT_RING_CAPACITY,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -111,8 +111,10 @@ pub fn install_shutdown_signals() {}
 /// The study every worker is currently collaborating on.
 struct ActiveStudy {
     job: u64,
-    key: StudyKey,
-    spec: StudySpec,
+    /// Built once at promotion; every worker runs shards on `cell.prog`.
+    cell: Cell,
+    /// The static-analysis context of a pruned study.
+    prune: Option<PruneContext>,
     board: Mutex<LeaseBoard>,
     /// Guards the shard log append *and* the progress fold, so the
     /// status endpoint always sees counts consistent with the store.
@@ -136,6 +138,9 @@ struct Shared {
     store: Store,
     queue: Mutex<JobQueue>,
     active: Mutex<Option<Arc<ActiveStudy>>>,
+    /// Held by the worker promoting a job, so one cell is built per
+    /// study; never taken by the accept thread.
+    promoting: Mutex<()>,
     shutdown: AtomicBool,
     lease_ttl: Duration,
     /// Operational event stream. Appends are serialized here so
@@ -165,74 +170,107 @@ impl Shared {
 
     /// The in-flight study, promoting the oldest queued job when nothing
     /// is active. Returns `None` when the queue is empty.
+    ///
+    /// Promotion marks the job started, then builds its [`Cell`] outside
+    /// the `queue` and `active` locks, which the accept thread's handlers
+    /// take. A job whose cell cannot be built, whose re-derived key
+    /// contradicts the submitted one, or whose shard log cannot be read
+    /// fails, and the next job is tried.
     fn current_or_next(&self) -> Result<Option<Arc<ActiveStudy>>, String> {
-        let mut active = relock(&self.active);
-        if let Some(a) = active.as_ref() {
-            if !a.finished.load(Ordering::SeqCst) {
-                return Ok(Some(a.clone()));
+        let _promoting = relock(&self.promoting);
+        loop {
+            if let Some(a) = relock(&self.active).as_ref() {
+                if !a.finished.load(Ordering::SeqCst) {
+                    return Ok(Some(a.clone()));
+                }
+            }
+            let next = relock(&self.queue).next_queued();
+            let Some(job) = next.map_err(|e| e.to_string())? else {
+                *relock(&self.active) = None;
+                return Ok(None);
+            };
+            let Some(key) = job.key.as_deref() else {
+                return Err(format!("job {} has no study key", job.id));
+            };
+            self.mark_started(&job, key)?;
+            match self.promote(&job, key) {
+                Ok(a) => return Ok(Some(a)),
+                Err(e) => self.fail_job(job.id, key, &e),
             }
         }
-        let queue = relock(&self.queue);
-        let Some(job) = queue.next_queued().map_err(|e| e.to_string())? else {
-            *active = None;
-            return Ok(None);
+    }
+
+    /// Build the cell `job`'s spec names (and its prune context when the
+    /// study is pruned), check it is the study the job was submitted as,
+    /// and make it the active study. Submit and promotion derive the key by
+    /// the same [`Cell::build`]; a mismatch means the build is not
+    /// deterministic, and running anyway would file results under the
+    /// wrong study.
+    fn promote(&self, job: &JobRecord, submitted: &str) -> Result<Arc<ActiveStudy>, String> {
+        let cell = Cell::build(&job.spec)?;
+        if cell.key.0 != submitted {
+            return Err(format!(
+                "promotion-derived key {} contradicts submitted key {submitted} — refusing to \
+                 contaminate the store",
+                cell.key
+            ));
+        }
+        let prune = if cell.cfg.prune {
+            Some(
+                vulfi::build_prune_context(&cell.prog, &*cell.workload)
+                    .map_err(|e| e.to_string())?,
+            )
+        } else {
+            None
         };
-        let key = StudyKey(
-            job.key
-                .clone()
-                .ok_or_else(|| format!("job {} has no study key", job.id))?,
-        );
-        let cfg = job.spec.study_config();
-        let study = self.store.study(&key);
+        let study = self.store.study(&cell.key);
         let done = study.shards().map_err(|e| e.to_string())?;
         // Heal the expected kill artifact (torn trailing shard line)
         // before anyone appends past it.
         study.trim_torn_tail().map_err(|e| e.to_string())?;
-        let plan = plan_shards(&cfg, job.spec.shard_size);
-        let missing = missing_jobs(&plan, &done, &cfg);
-        let mut progress =
-            Progress::start((cfg.max_campaigns * cfg.experiments_per_campaign) as u64);
-        progress.resumed = covered_experiments(&done, &cfg) as u64;
-        for rec in &done {
-            for e in &rec.experiments {
-                progress.counts.add(e);
-                progress.dyn_insts += e.golden_dyn_insts;
-            }
-        }
-        queue.started(job.id, &key.0).map_err(|e| e.to_string())?;
-        drop(queue);
-        let started = OpsEvent::new(OpsKind::Started).job(job.id).key(&key.0);
-        let wait_ms = started.unix_ms.saturating_sub(job.submitted_unix_ms);
-        vulfi_orch::metrics::global().observe_queue_wait(wait_ms.saturating_mul(1_000_000));
-        self.ops_emit(started.wall_ns(wait_ms.saturating_mul(1_000_000)));
+        let plan = plan_shards(&cell.cfg, cell.spec.shard_size);
+        let missing = missing_jobs(&plan, &done, &cell.cfg);
         let a = Arc::new(ActiveStudy {
             job: job.id,
-            key,
-            spec: job.spec.clone(),
             board: Mutex::new(LeaseBoard::new(missing, self.lease_ttl)),
-            progress: Mutex::new(progress),
+            progress: Mutex::new(Progress::resume(&cell.cfg, &done)),
+            cell,
+            prune,
             finished: AtomicBool::new(false),
         });
-        *active = Some(a.clone());
-        Ok(Some(a))
+        *relock(&self.active) = Some(a.clone());
+        Ok(a)
+    }
+
+    /// Record that a worker picked `job` up; its queue wait ends here,
+    /// before the cell build.
+    fn mark_started(&self, job: &JobRecord, key: &str) -> Result<(), String> {
+        relock(&self.queue)
+            .started(job.id, key)
+            .map_err(|e| e.to_string())?;
+        let started = OpsEvent::new(OpsKind::Started).job(job.id).key(key);
+        let wait_ms = started.unix_ms.saturating_sub(job.submitted_unix_ms);
+        let wait_ns = wait_ms.saturating_mul(1_000_000);
+        vulfi_orch::metrics::global().observe_queue_wait(wait_ns);
+        self.ops_emit(started.wall_ns(wait_ns));
+        Ok(())
     }
 
     /// Mark the active study failed (first caller wins) and clear it so
     /// the queue can advance.
     fn fail_active(&self, active: &Arc<ActiveStudy>, error: &str) {
-        if active.finished.swap(true, Ordering::SeqCst) {
-            return;
+        if !active.finished.swap(true, Ordering::SeqCst) {
+            self.fail_job(active.job, &active.cell.key.0, error);
+            self.clear_active(active.job);
         }
-        if let Err(e) = relock(&self.queue).failed(active.job, error) {
-            eprintln!("vulfi-serve: recording failure of job {}: {e}", active.job);
+    }
+
+    fn fail_job(&self, job: u64, key: &str, error: &str) {
+        if let Err(e) = relock(&self.queue).failed(job, error) {
+            eprintln!("vulfi-serve: recording failure of job {job}: {e}");
         }
-        self.ops_emit(
-            OpsEvent::new(OpsKind::Failed)
-                .job(active.job)
-                .key(&active.key.0)
-                .detail(error),
-        );
-        self.clear_active(active.job);
+        let failed = OpsEvent::new(OpsKind::Failed).job(job).key(key);
+        self.ops_emit(failed.detail(error));
     }
 
     fn clear_active(&self, job: u64) {
@@ -251,99 +289,26 @@ pub fn spec_from_value(doc: &Value) -> Result<StudySpec, String> {
     let obj = doc
         .as_object()
         .ok_or_else(|| "study spec must be a JSON object".to_string())?;
-    let mut spec = StudySpec::default();
+    // The defaults' own encoding names every spec field and its JSON kind.
+    let Value::Object(mut fields) = serde::Serialize::to_value(&StudySpec::default()) else {
+        unreachable!("a struct serializes to an object")
+    };
     for (k, v) in obj {
-        let str_field = || {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec.{k} must be a string"))
+        let (_, slot) = fields
+            .iter_mut()
+            .find(|(name, _)| name == k)
+            .ok_or_else(|| format!("unknown spec field '{k}'"))?;
+        let (fits, kind) = match slot {
+            Value::Str(_) => (v.as_str().is_some(), "a string"),
+            Value::Bool(_) => (v.as_bool().is_some(), "a boolean"),
+            _ => (v.as_u64().is_some(), "a non-negative integer"),
         };
-        let num_field = || {
-            v.as_u64()
-                .ok_or_else(|| format!("spec.{k} must be a non-negative integer"))
-        };
-        match k.as_str() {
-            "bench" => spec.bench = str_field()?,
-            "isa" => spec.isa = str_field()?,
-            "category" => spec.category = str_field()?,
-            "scale" => spec.scale = str_field()?,
-            "experiments" => spec.experiments = num_field()? as usize,
-            "campaigns" => spec.campaigns = num_field()? as usize,
-            "seed" => spec.seed = num_field()?,
-            "shard_size" => spec.shard_size = num_field()? as usize,
-            "model" => spec.model = str_field()?,
-            "detectors" => {
-                spec.detectors = v
-                    .as_bool()
-                    .ok_or_else(|| format!("spec.{k} must be a boolean"))?
-            }
-            "prune" => {
-                spec.prune = v
-                    .as_bool()
-                    .ok_or_else(|| format!("spec.{k} must be a boolean"))?
-            }
-            other => return Err(format!("unknown spec field '{other}'")),
+        if !fits {
+            return Err(format!("spec.{k} must be {kind}"));
         }
+        *slot = v.clone();
     }
-    Ok(spec)
-}
-
-/// Build the spec's workload (with detectors woven in when asked) and
-/// hand it to `f`. Centralizing this is what guarantees the submit
-/// handler and every worker derive the same instrumented module and
-/// therefore the same study key.
-pub fn with_workload<T>(
-    spec: &StudySpec,
-    f: impl FnOnce(&dyn Workload) -> Result<T, String>,
-) -> Result<T, String> {
-    let isa = match spec.isa.as_str() {
-        "avx" => VectorIsa::Avx,
-        "sse" => VectorIsa::Sse4,
-        other => return Err(format!("unknown isa '{other}'")),
-    };
-    let scale = match spec.scale.as_str() {
-        "test" => vbench::Scale::Test,
-        "paper" => vbench::Scale::Paper,
-        other => return Err(format!("unknown scale '{other}'")),
-    };
-    let w = vbench::study_benchmark(&spec.bench, isa, scale)
-        .or_else(|| vbench::micro_benchmark(&spec.bench, isa, scale))
-        .ok_or_else(|| format!("unknown benchmark '{}' (see `vulfi list`)", spec.bench))?;
-    if spec.detectors {
-        let wd = detectors::WithDetectors::new(&w, detectors::DetectorConfig::default())
-            .map_err(|e| e.to_string())?;
-        f(&wd)
-    } else {
-        f(&w)
-    }
-}
-
-/// Compile the spec's workload, derive its content-addressed key, and
-/// make sure the store has a manifest for it. This is the submit-time
-/// half of the determinism contract; workers re-derive and cross-check.
-pub fn realize_key(spec: &StudySpec, store: &Store) -> Result<StudyKey, String> {
-    let category = spec.site_category()?;
-    let cfg = spec.study_config();
-    with_workload(spec, |w| {
-        let prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        let key = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-        let study = store.study(&key);
-        if !study.exists() {
-            study
-                .write_manifest(&Manifest {
-                    key: key.clone(),
-                    workload: w.name().to_string(),
-                    isa: spec.isa.clone(),
-                    category: prog.category,
-                    entry: prog.entry.clone(),
-                    cfg,
-                    total_shards: plan_shards(&cfg, spec.shard_size).len() as u64,
-                    complete: false,
-                })
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(key)
-    })
+    serde::Deserialize::from_value(&Value::Object(fields)).map_err(|e| format!("spec: {e}"))
 }
 
 /// A bound-but-not-yet-running daemon. Splitting bind from run lets
@@ -438,6 +403,7 @@ impl Daemon {
                 store,
                 queue: Mutex::new(queue),
                 active: Mutex::new(None),
+                promoting: Mutex::new(()),
                 shutdown: AtomicBool::new(false),
                 lease_ttl: cfg.lease_ttl,
                 ops: Mutex::new(ops),
@@ -625,97 +591,68 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
 }
 
 /// Execute shards of `active` until the study drains or shutdown is
-/// requested. Compiles its own copy of the workload (shared-nothing; see
-/// the module docs for why).
+/// requested, on the cell promotion built for every worker.
 fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Result<(), String> {
-    let spec = &active.spec;
-    let category = spec.site_category()?;
-    let cfg = spec.study_config();
-    with_workload(spec, |w| {
-        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        prog.model = cfg.model;
-        let derived = vulfi_orch::study_key(&prog, w.name(), &spec.isa, &cfg);
-        if derived.0 != active.key.0 {
-            return Err(format!(
-                "worker-derived key {derived} contradicts submitted key {} — refusing to \
-                 contaminate the store",
-                active.key
-            ));
+    let cell = &active.cell;
+    let study = shared.store.study(&cell.key);
+    let event = |kind| {
+        OpsEvent::new(kind)
+            .job(active.job)
+            .key(&cell.key.0)
+            .worker(worker)
+    };
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Leave the job Running; the next daemon re-queues it and
+            // re-runs only the shards that never landed.
+            return Ok(());
         }
-        let study = shared.store.study(&active.key);
-        // Each worker derives its own prune context (analysis + census),
-        // same shared-nothing stance as the workload compile above.
-        let prune_ctx = if cfg.prune {
-            Some(vulfi::build_prune_context(&prog, w).map_err(|e| e.to_string())?)
-        } else {
-            None
+        if active.finished.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        let leased = relock(&active.board).lease(worker);
+        let Some(job) = leased else {
+            if relock(&active.board).drained() {
+                return finish_study(shared, active, &study);
+            }
+            // Stragglers hold leases; wait for them (or for the reaper)
+            // instead of spinning.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
         };
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // Leave the job Running; the next daemon re-queues it
-                // and re-runs only the shards that never landed.
-                return Ok(());
-            }
-            if active.finished.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let leased = relock(&active.board).lease(worker);
-            match leased {
-                Some(job) => {
-                    shared.ops_emit(
-                        OpsEvent::new(OpsKind::LeaseGranted)
-                            .job(active.job)
-                            .key(&active.key.0)
-                            .worker(worker)
-                            .shard(job.campaign as u64, job.start as u64, job.end as u64),
-                    );
-                    let shard_start = Instant::now();
-                    let faults_before = vulfi::engine_faults().len();
-                    let (rec, _spans) = run_shard(&prog, w, &cfg, job, false, prune_ctx.as_ref())
-                        .map_err(|e| e.to_string())?;
-                    {
-                        let mut p = relock(&active.progress);
-                        study.append_shard(&rec).map_err(|e| e.to_string())?;
-                        p.note_shard(rec.experiments.len() as u64);
-                        for e in &rec.experiments {
-                            p.counts.add(e);
-                            p.dyn_insts += e.golden_dyn_insts;
-                        }
-                    }
-                    relock(&active.board).complete(worker, job);
-                    let shard_ns = shard_start.elapsed().as_nanos() as u64;
-                    vulfi_orch::metrics::global().observe_shard_duration(shard_ns);
-                    shared.ops_emit(
-                        OpsEvent::new(OpsKind::ShardDone)
-                            .job(active.job)
-                            .key(&active.key.0)
-                            .worker(worker)
-                            .shard(job.campaign as u64, job.start as u64, job.end as u64)
-                            .wall_ns(shard_ns),
-                    );
-                    let faults = vulfi::engine_faults().len().saturating_sub(faults_before);
-                    if faults > 0 {
-                        shared.ops_emit(
-                            OpsEvent::new(OpsKind::EngineFault)
-                                .job(active.job)
-                                .key(&active.key.0)
-                                .worker(worker)
-                                .detail(format!("{faults} engine fault(s) absorbed")),
-                        );
-                    }
-                }
-                None => {
-                    if relock(&active.board).drained() {
-                        finish_study(shared, active, &study, spec)?;
-                        return Ok(());
-                    }
-                    // Stragglers hold leases; wait for them (or for the
-                    // reaper) instead of spinning.
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
+        let (c, start, end) = (job.campaign as u64, job.start as u64, job.end as u64);
+        shared.ops_emit(event(OpsKind::LeaseGranted).shard(c, start, end));
+        let shard_start = Instant::now();
+        let faults_before = vulfi::engine_faults().len();
+        let (rec, _spans) = run_shard(
+            &cell.prog,
+            &*cell.workload,
+            &cell.cfg,
+            job,
+            false,
+            active.prune.as_ref(),
+        )
+        .map_err(|e| e.to_string())?;
+        {
+            let mut p = relock(&active.progress);
+            study.append_shard(&rec).map_err(|e| e.to_string())?;
+            p.add_shard(&rec);
         }
-    })
+        relock(&active.board).complete(worker, job);
+        let shard_ns = shard_start.elapsed().as_nanos() as u64;
+        vulfi_orch::metrics::global().observe_shard_duration(shard_ns);
+        shared.ops_emit(
+            event(OpsKind::ShardDone)
+                .shard(c, start, end)
+                .wall_ns(shard_ns),
+        );
+        let faults = vulfi::engine_faults().len().saturating_sub(faults_before);
+        if faults > 0 {
+            shared.ops_emit(
+                event(OpsKind::EngineFault).detail(format!("{faults} engine fault(s) absorbed")),
+            );
+        }
+    }
 }
 
 /// First worker to see the board drained merges and completes the job;
@@ -724,42 +661,28 @@ fn finish_study(
     shared: &Arc<Shared>,
     active: &Arc<ActiveStudy>,
     study: &StudyStore,
-    spec: &StudySpec,
 ) -> Result<(), String> {
     if active.finished.swap(true, Ordering::SeqCst) {
         return Ok(());
     }
-    let cfg = spec.study_config();
-    let category = spec.site_category()?;
+    let cell = &active.cell;
+    let event = |kind| OpsEvent::new(kind).job(active.job).key(&cell.key.0);
     let done = study.shards().map_err(|e| e.to_string())?;
-    let outcome = match merge(&cfg, category, &done) {
+    let outcome = match merge(&cell.cfg, cell.prog.category, &done) {
         Some(_) => {
             let mut m = study.read_manifest().map_err(|e| e.to_string())?;
             if !m.complete {
                 m.complete = true;
                 study.write_manifest(&m).map_err(|e| e.to_string())?;
             }
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Merged)
-                    .job(active.job)
-                    .key(&active.key.0),
-            );
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Completed)
-                    .job(active.job)
-                    .key(&active.key.0),
-            );
+            shared.ops_emit(event(OpsKind::Merged));
+            shared.ops_emit(event(OpsKind::Completed));
             relock(&shared.queue).completed(active.job)
         }
         // Drained board but incomplete merge: the store lost records
         // between planning and now (external interference). Surface it.
         None => {
-            shared.ops_emit(
-                OpsEvent::new(OpsKind::Failed)
-                    .job(active.job)
-                    .key(&active.key.0)
-                    .detail("board drained but merge incomplete"),
-            );
+            shared.ops_emit(event(OpsKind::Failed).detail("board drained but merge incomplete"));
             relock(&shared.queue).failed(active.job, "board drained but merge incomplete")
         }
     };
@@ -844,8 +767,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
     }
 }
 
-/// `POST /studies`: validate, realize the key (compiling the workload),
-/// and durably enqueue. Responds 202 with `{job, key, state}` — the key
+/// `POST /studies`: validate, build the cell (compiling the workload) to
+/// realize its key and manifest, and durably enqueue. Responds 202 with `{job, key, state}` — the key
 /// is usable immediately for status polling and is stable across
 /// resubmission of the same spec (a completed study is a cache hit: the
 /// worker finds no missing shards and completes the job instantly).
@@ -854,18 +777,19 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
         Ok(d) => d,
         Err(e) => return respond_error(stream, 400, &e),
     };
-    let spec = match spec_from_value(&doc).and_then(|s| s.validate().map(|_| s)) {
-        Ok(s) => s,
+    // `Cell::build` validates the spec; its errors name the bad field.
+    let cell = match spec_from_value(&doc).and_then(|s| Cell::build(&s)) {
+        Ok(c) => c,
         Err(e) => return respond_error(stream, 400, &e),
     };
-    let key = match realize_key(&spec, &shared.store) {
-        Ok(k) => k,
-        Err(e) => return respond_error(stream, 400, &e),
-    };
+    if let Err(e) = cell.open(&shared.store) {
+        return respond_error(stream, 500, &e.to_string());
+    }
+    let key = &cell.key.0;
     let tenant = req.header("x-vulfi-tenant").map(str::to_string);
-    match relock(&shared.queue).submit(&spec, &key.0, tenant.as_deref()) {
+    match relock(&shared.queue).submit(&cell.spec, key, tenant.as_deref()) {
         Ok(job) => {
-            let mut ev = OpsEvent::new(OpsKind::Submitted).job(job).key(&key.0);
+            let mut ev = OpsEvent::new(OpsKind::Submitted).job(job).key(key);
             if let Some(t) = &tenant {
                 ev = ev.detail(t.clone());
             }
@@ -873,7 +797,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
             respond_json(
                 stream,
                 202,
-                &serde_json::json!({ "job": job, "key": key.0.clone(), "state": "queued" }),
+                &serde_json::json!({ "job": job, "key": key.clone(), "state": "queued" }),
             )
         }
         Err(e) => respond_error(stream, 500, &e.to_string()),
@@ -933,14 +857,7 @@ fn study_status_fields(
 ) -> Result<Vec<(String, Value)>, String> {
     let m = study.read_manifest().map_err(|e| e.to_string())?;
     let shards = study.shards().map_err(|e| e.to_string())?;
-    let covered = covered_experiments(&shards, &m.cfg);
-    let total = m.cfg.max_campaigns * m.cfg.experiments_per_campaign;
-    let mut counts = OutcomeCounts::default();
-    for rec in &shards {
-        for e in &rec.experiments {
-            counts.add(e);
-        }
-    }
+    let stored = Progress::resume(&m.cfg, &shards);
     let mut fields: Vec<(String, Value)> = vec![
         ("workload".to_string(), Value::Str(m.workload.clone())),
         ("isa".to_string(), Value::Str(m.isa.clone())),
@@ -948,18 +865,15 @@ fn study_status_fields(
             "category".to_string(),
             Value::Str(m.category.name().to_string()),
         ),
+        ("covered".to_string(), Value::from(stored.resumed)),
+        ("total".to_string(), Value::from(stored.total)),
         (
-            "covered".to_string(),
-            serde_json::to_value(&(covered as u64)).unwrap(),
+            "counts".to_string(),
+            serde_json::to_value(&stored.counts).unwrap(),
         ),
-        (
-            "total".to_string(),
-            serde_json::to_value(&(total as u64)).unwrap(),
-        ),
-        ("counts".to_string(), serde_json::to_value(&counts).unwrap()),
     ];
     let active = relock(&shared.active).clone();
-    if let Some(a) = active.filter(|a| a.key.0 == key.0) {
+    if let Some(a) = active.filter(|a| a.cell.key.0 == key.0) {
         let snap = relock(&a.progress).snapshot();
         fields.push((
             "progress".to_string(),
@@ -1112,7 +1026,7 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
                 "<p>job {} · <code>{}</code> · {}/{} experiments \
                  <span class=\"bar\"><span style=\"width:{:.0}%\"></span></span> {:.1}%</p>\n",
                 a.job,
-                esc(&a.key.0[..12.min(a.key.0.len())]),
+                esc(&a.cell.key.0[..12.min(a.cell.key.0.len())]),
                 snap.done,
                 snap.total,
                 pct,

@@ -39,7 +39,4 @@ pub mod daemon;
 pub mod http;
 
 pub use client::Client;
-pub use daemon::{
-    install_shutdown_signals, realize_key, spec_from_value, with_workload, Daemon, DaemonHandle,
-    ServeConfig,
-};
+pub use daemon::{install_shutdown_signals, spec_from_value, Daemon, DaemonHandle, ServeConfig};

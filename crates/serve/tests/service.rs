@@ -77,31 +77,33 @@ fn wait_jobs_completed(client: &Client, n: usize, timeout: Duration) -> Vec<Valu
     }
 }
 
-/// The reference result: the same spec through the in-process
-/// orchestrator into a separate store.
+/// The reference result: the same (test-scale, detector-free) spec
+/// through the in-process orchestrator into a separate store, built
+/// without the daemon's `Cell` so the comparison is independent of it.
 fn reference_result(spec: &StudySpec) -> vulfi::StudyResult {
     let store = vulfi_orch::Store::open(temp_store("reference")).unwrap();
-    let category = spec.site_category().unwrap();
     let cfg = spec.study_config();
-    vulfi_serve::with_workload(spec, |w| {
-        let mut prog = vulfi::prepare(w, category).map_err(|e| e.to_string())?;
-        prog.model = cfg.model;
-        let out = vulfi_orch::run_study_persistent(
-            &prog,
-            w,
-            w.name(),
-            &spec.isa,
-            &cfg,
-            &store,
-            vulfi_orch::RunOptions {
-                shard_size: spec.shard_size,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        out.result.ok_or_else(|| "reference incomplete".to_string())
-    })
-    .expect("reference study")
+    let isa = match spec.isa.as_str() {
+        "sse" => spmdc::VectorIsa::Sse4,
+        _ => spmdc::VectorIsa::Avx,
+    };
+    let w = vbench::benchmark(&spec.bench, isa, vbench::Scale::Test).expect("benchmark");
+    let mut prog = vulfi::prepare(&w, spec.site_category().unwrap()).expect("prepare");
+    prog.model = cfg.model;
+    let out = vulfi_orch::run_study_persistent(
+        &prog,
+        &w,
+        &spec.bench,
+        &spec.isa,
+        &cfg,
+        &store,
+        vulfi_orch::RunOptions {
+            shard_size: spec.shard_size,
+            ..Default::default()
+        },
+    )
+    .expect("reference study");
+    out.result.expect("reference complete")
 }
 
 /// Render a result the way the status endpoint does, for byte-for-byte
@@ -369,8 +371,8 @@ fn pruned_submission_discharges_without_execution() {
         .unwrap();
     daemon.join().unwrap();
 
-    // The workers built per-worker prune contexts and left synthetic
-    // Benign records (injection None, dynamic sites seen) in the store.
+    // The workers shared the promoted study's prune context and left
+    // synthetic Benign records (injection None, dynamic sites seen).
     let st = vulfi_orch::Store::open(&store).unwrap();
     let done = st
         .study(&vulfi_orch::StudyKey(key))
@@ -435,4 +437,126 @@ fn bad_submissions_are_rejected_with_reasons() {
         .post("/shutdown", &serde_json::json!({}), &[])
         .unwrap();
     daemon.join().unwrap();
+}
+
+/// Every ops event the daemon logged under `key`, by kind name.
+fn event_kinds(store: &Path, key: &str) -> Vec<String> {
+    vulfi_orch::OpsLog::open(store)
+        .unwrap()
+        .events()
+        .unwrap()
+        .into_iter()
+        .filter(|ev| ev.key.as_deref() == Some(key))
+        .map(|ev| format!("{:?}", ev.kind))
+        .collect()
+}
+
+#[test]
+fn paper_scale_resubmission_is_a_new_study_not_a_cache_hit() {
+    let store = temp_store("scales");
+    let (client, daemon) = start_daemon(&store, 2);
+    let doc = |scale: &str| {
+        serde_json::json!({
+            "bench": "vector sum",
+            "scale": scale,
+            "experiments": 4u64,
+            "campaigns": 2u64,
+            "shard_size": 2u64,
+        })
+    };
+    let submit = |scale: &str| {
+        let (status, resp) = client.post("/studies", &doc(scale), &[]).unwrap();
+        assert_eq!(status, 202, "{resp:?}");
+        resp.get("key")
+            .and_then(|v| v.as_str())
+            .unwrap()
+            .to_string()
+    };
+    let test_key = submit("test");
+    wait_complete(&client, &test_key, Duration::from_secs(60));
+    let paper_key = submit("paper");
+    assert_ne!(
+        paper_key, test_key,
+        "a paper-scale spec must not be answered from the test-scale study"
+    );
+    let paper = wait_complete(&client, &paper_key, Duration::from_secs(120));
+    wait_jobs_completed(&client, 2, Duration::from_secs(30));
+    client
+        .post("/shutdown", &serde_json::json!({}), &[])
+        .unwrap();
+    daemon.join().unwrap();
+
+    // The paper-scale study executed its own shards, on paper-size
+    // inputs: its golden runs are longer than the test-scale ones.
+    let shards = event_kinds(&store, &paper_key)
+        .iter()
+        .filter(|k| k.as_str() == "ShardDone")
+        .count();
+    assert_eq!(shards, 4, "paper-scale shards must execute: {paper:?}");
+    let st = vulfi_orch::Store::open(&store).unwrap();
+    let golden = |key: &str| {
+        st.study(&vulfi_orch::StudyKey(key.to_string()))
+            .shards()
+            .unwrap()
+            .iter()
+            .flat_map(|s| &s.experiments)
+            .map(|e| e.golden_dyn_insts)
+            .max()
+            .unwrap()
+    };
+    assert!(golden(&paper_key) > golden(&test_key));
+}
+
+#[test]
+fn promotion_fails_a_job_whose_key_contradicts_its_spec() {
+    let store = temp_store("keycheck");
+    let spec = StudySpec {
+        bench: "vector sum".to_string(),
+        experiments: 4,
+        campaigns: 2,
+        shard_size: 2,
+        ..StudySpec::default()
+    };
+    let right = vulfi_orch::Cell::build(&spec).unwrap().key;
+    let wrong = vulfi_orch::StudyKey("0".repeat(32));
+    let job = vulfi_orch::JobQueue::open(&store)
+        .unwrap()
+        .submit(&spec, &wrong.0, None)
+        .unwrap();
+
+    let (client, daemon) = start_daemon(&store, 2);
+    let st = vulfi_orch::Store::open(&store).unwrap();
+    let no_shards = || {
+        for key in [&right, &wrong] {
+            assert!(
+                st.study(key).shards().unwrap().is_empty(),
+                "no shard may land under {key}"
+            );
+        }
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let failed = loop {
+        no_shards();
+        let (_, doc) = client.get("/jobs").unwrap();
+        let jobs = doc.get("jobs").and_then(|v| v.as_array()).unwrap().to_vec();
+        let j = jobs
+            .into_iter()
+            .find(|j| j.get("id").and_then(|v| v.as_u64()) == Some(job))
+            .unwrap();
+        match j.get("state").and_then(|v| v.as_str()) {
+            Some("failed") => break j,
+            Some("completed") => panic!("a contradicted key must not run: {j:?}"),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "job never failed: {j:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    client
+        .post("/shutdown", &serde_json::json!({}), &[])
+        .unwrap();
+    daemon.join().unwrap();
+
+    let error = failed.get("error").and_then(|v| v.as_str()).unwrap();
+    assert!(error.contains("contradicts submitted key"), "{error}");
+    no_shards();
 }

@@ -26,7 +26,8 @@ pub mod util;
 pub mod workload;
 
 pub use suite::{
-    micro_benchmark, micro_benchmarks, study_benchmark, study_benchmarks, MICRO_NAMES, STUDY_NAMES,
+    benchmark, micro_benchmark, micro_benchmarks, study_benchmark, study_benchmarks, MICRO_NAMES,
+    STUDY_NAMES,
 };
 pub use util::{DetRng, Scale};
 pub use workload::SpmdWorkload;

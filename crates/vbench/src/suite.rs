@@ -80,6 +80,12 @@ pub fn micro_benchmark(name: &str, isa: VectorIsa, scale: Scale) -> Option<SpmdW
     })
 }
 
+/// Build any benchmark by name: the study suite first, then the micros.
+/// Every name-driven path (CLI, gauntlet, serve) resolves through here.
+pub fn benchmark(name: &str, isa: VectorIsa, scale: Scale) -> Option<SpmdWorkload> {
+    study_benchmark(name, isa, scale).or_else(|| micro_benchmark(name, isa, scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +128,9 @@ mod tests {
         assert!(study_benchmark("NoSuch", VectorIsa::Avx, Scale::Test).is_none());
         assert!(micro_benchmark("dot product", VectorIsa::Sse4, Scale::Test).is_some());
         assert!(micro_benchmark("nope", VectorIsa::Sse4, Scale::Test).is_none());
+        assert!(benchmark("Stencil", VectorIsa::Avx, Scale::Test).is_some());
+        assert!(benchmark("dot product", VectorIsa::Sse4, Scale::Test).is_some());
+        assert!(benchmark("nope", VectorIsa::Avx, Scale::Test).is_none());
     }
 
     #[test]

@@ -15,13 +15,13 @@
 
 use detectors::{DetectorConfig, WithDetectors};
 use spmdc::VectorIsa;
-use vbench::{micro_benchmark, Scale};
+use vbench::{benchmark, Scale};
 use vir::analysis::SiteCategory;
 use vulfi::campaign::measure_dyn_insts;
 use vulfi::workload::Workload;
 
 fn main() {
-    let w = micro_benchmark("dot product", VectorIsa::Avx, Scale::Test).unwrap();
+    let w = benchmark("dot product", VectorIsa::Avx, Scale::Test).unwrap();
 
     // Show the foreach loop structure the detector keys on.
     let f = w.module().function(w.entry()).unwrap();

@@ -15,7 +15,7 @@
 //! ```
 //! use vulfi_suite::prelude::*;
 //!
-//! let w = vbench::micro_benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
+//! let w = vbench::benchmark("vector copy", VectorIsa::Avx, Scale::Test).unwrap();
 //! let prog = vulfi::prepare(&w, SiteCategory::Control).unwrap();
 //! let c = vulfi::run_campaign(&prog, &w, 10, 1).unwrap();
 //! assert_eq!(c.counts.total(), 10);
