@@ -171,23 +171,26 @@ grep -q '"throughput-floor"' "$SMOKE/alerts.json"
 ./target/release/vulfi shutdown --addr "$ADDR" > /dev/null
 wait "$SERVE_PID"
 test ! -e "$SMOKE/serve/serve.addr"
-./target/release/vulfi store fsck --store "$SMOKE/serve"
-# The ops log alone must reconstruct the job's lifecycle offline, and
+# The journal is the store's only job log: no queue directory, and the
+# one store-wide fsck covers the journal and the telemetry series.
+test ! -e "$SMOKE/serve/queue"
+./target/release/vulfi store fsck --store "$SMOKE/serve" --json > "$SMOKE/fsck.json"
+grep -q '"key": "journal"' "$SMOKE/fsck.json"
+grep -q '"key": "telemetry"' "$SMOKE/fsck.json"
+# The journal alone must reconstruct the job's lifecycle offline, and
 # it must carry the alert transition the daemon logged.
 ./target/release/vulfi events summarize --store "$SMOKE/serve" > "$SMOKE/ops.out"
 grep -q 'completed' "$SMOKE/ops.out"
 grep -q 'merged' "$SMOKE/ops.out"
-./target/release/vulfi events fsck --store "$SMOKE/serve"
 ./target/release/vulfi events tail --store "$SMOKE/serve" --top 200 > "$SMOKE/tail.out"
 grep -q 'alert-firing' "$SMOKE/tail.out"
 # Alerts offline: the impossible-to-satisfy rule must flip the exit
 # code over the persisted series; a rules file with only the
-# can-never-fire rule must pass; the telemetry log itself fscks clean.
+# can-never-fire rule must pass.
 ! ./target/release/vulfi alerts check --rules "$SMOKE/alerts.toml" \
     --store "$SMOKE/serve" > "$SMOKE/alerts.out"
 grep -q 'FIRING' "$SMOKE/alerts.out"
 printf '[never]\nkind = "sdc_rate_above"\nthreshold = 1e9\n' > "$SMOKE/quiet.toml"
 ./target/release/vulfi alerts check --rules "$SMOKE/quiet.toml" --store "$SMOKE/serve" > /dev/null
-./target/release/vulfi alerts fsck --store "$SMOKE/serve"
 
 echo "ci: all checks passed"

@@ -60,10 +60,8 @@ fn usage() -> String {
      vulfi trace export --chrome [--store DIR] [--trace DIR] [-o out.json]\n  \
      vulfi events tail [--store DIR] [--top N] [--json]\n  \
      vulfi events summarize [--store DIR] [--json]\n  \
-     vulfi events fsck [--store DIR] [--repair] [--json]\n  \
      vulfi alerts check --rules FILE [--store DIR] [--json]\n  \
      vulfi alerts watch --rules FILE [--store DIR] [--telemetry-interval-ms N]\n  \
-     vulfi alerts fsck [--store DIR] [--repair] [--json]\n  \
      vulfi report diff <STORE_A> <STORE_B> [--json]\n  \
      vulfi report heatmap [--trace DIR] [--top N] [--model M] [--json]\n  \
      vulfi report html [--store DIR] [--trace DIR] [--diff-store DIR] [--metrics-in PATH]\n         \
@@ -106,7 +104,7 @@ struct Flags {
     /// Abort the campaign on an engine panic instead of recording a
     /// contained Crash outcome.
     strict: bool,
-    /// `store fsck`: quarantine and rebuild corrupt shard and queue logs.
+    /// `store fsck`: quarantine and rebuild corrupt logs.
     repair: bool,
     /// Wall-clock watchdog per faulty run, in milliseconds.
     wall_limit_ms: Option<u64>,
@@ -575,18 +573,16 @@ fn run(args: &[String]) -> Result<(), String> {
         "events" => match flags.positional.first().map(String::as_str) {
             Some("tail") => events_tail(&flags),
             Some("summarize") => events_summarize(&flags),
-            Some("fsck") => events_fsck(&flags),
             _ => Err(format!(
-                "events needs a subcommand (tail, summarize, fsck)\n{}",
+                "events needs a subcommand (tail, summarize)\n{}",
                 usage()
             )),
         },
         "alerts" => match flags.positional.first().map(String::as_str) {
             Some("check") => alerts_check(&flags),
             Some("watch") => alerts_watch(&flags),
-            Some("fsck") => alerts_fsck(&flags),
             _ => Err(format!(
-                "alerts needs a subcommand (check, watch, fsck)\n{}",
+                "alerts needs a subcommand (check, watch)\n{}",
                 usage()
             )),
         },
@@ -1544,15 +1540,15 @@ fn events_tail(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `vulfi events summarize`: fold the ops log into per-job lifecycles
-/// (submit → lease → shards → merge), reconstructed from the log alone.
+/// `vulfi events summarize`: the journal's job table — each job's
+/// submit → lease → shards → merge lifecycle, folded from the log alone.
 fn events_summarize(flags: &Flags) -> Result<(), String> {
-    let ops = vulfi_orch::OpsLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let s = ops.summarize().map_err(|e| e.to_string())?;
+    let journal = vulfi_orch::Journal::open(&flags.store).map_err(|e| e.to_string())?;
+    let s = journal.table();
     if flags.json {
         println!(
             "{}",
-            serde_json::to_string_pretty(&serde_json::to_value(&s).map_err(|e| e.to_string())?)
+            serde_json::to_string_pretty(&serde_json::to_value(s).map_err(|e| e.to_string())?)
                 .unwrap()
         );
         return Ok(());
@@ -1574,25 +1570,6 @@ fn events_summarize(flags: &Flags) -> Result<(), String> {
     );
     for j in &s.jobs {
         println!("{}", j.render());
-    }
-    Ok(())
-}
-
-/// `vulfi events fsck`: integrity-check the ops log; with `--repair`,
-/// quarantine a corrupt log and salvage the intact events.
-fn events_fsck(flags: &Flags) -> Result<(), String> {
-    let ops = vulfi_orch::OpsLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let study = ops.fsck(flags.repair).map_err(|e| e.to_string())?;
-    let report = vulfi_orch::FsckReport {
-        studies: vec![study],
-    };
-    print_fsck_report(&report, flags, &flags.store)?;
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt ops log under {}; re-run with --repair to quarantine it \
-             and salvage intact events",
-            flags.store
-        ));
     }
     Ok(())
 }
@@ -1678,25 +1655,6 @@ fn alerts_watch(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `vulfi alerts fsck`: integrity-check the telemetry log; with
-/// `--repair`, quarantine a corrupt log and salvage the intact samples.
-fn alerts_fsck(flags: &Flags) -> Result<(), String> {
-    let log = vulfi_orch::TelemetryLog::open(&flags.store).map_err(|e| e.to_string())?;
-    let study = log.fsck(flags.repair).map_err(|e| e.to_string())?;
-    let report = vulfi_orch::FsckReport {
-        studies: vec![study],
-    };
-    print_fsck_report(&report, flags, &flags.store)?;
-    if report.needs_repair() && !flags.repair {
-        return Err(format!(
-            "corrupt telemetry log under {}; re-run with --repair to quarantine \
-             it and salvage intact samples",
-            flags.store
-        ));
-    }
-    Ok(())
-}
-
 /// Shared fsck report renderer for the result store and the trace store.
 fn print_fsck_report(
     report: &vulfi_orch::FsckReport,
@@ -1761,15 +1719,15 @@ fn print_fsck_report(
     Ok(())
 }
 
-/// `vulfi store fsck`: check every study's shard log and the service
-/// job queue; with `--repair`, quarantine corrupt logs and salvage the
-/// intact records.
+/// `vulfi store fsck`: check every checksummed log under the store root
+/// (shard logs, journal, telemetry series); with `--repair`, quarantine
+/// corrupt logs and salvage the intact records.
 fn store_fsck(flags: &Flags) -> Result<(), String> {
     let store = vulfi_orch::Store::open(&flags.store).map_err(|e| e.to_string())?;
     let report = store.fsck(flags.repair).map_err(|e| e.to_string())?;
     print_fsck_report(&report, flags, &flags.store)?;
-    // Repairs are operational actions: record them in the ops event
-    // stream so `vulfi events summarize` accounts for them.
+    // Repairs are operational actions: record them in the journal so
+    // `vulfi events summarize` accounts for them.
     if flags.repair {
         let quarantined: Vec<String> = report
             .studies
@@ -1779,13 +1737,13 @@ fn store_fsck(flags: &Flags) -> Result<(), String> {
             .collect();
         if !quarantined.is_empty() {
             if let Ok(ops) = vulfi_orch::OpsLog::open(&flags.store) {
-                let _ = ops.append(vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Fsck).detail(
-                    format!(
+                let _ = ops.append(
+                    &vulfi_orch::OpsEvent::new(vulfi_orch::OpsKind::Fsck).detail(format!(
                         "store fsck quarantined {} log(s): {}",
                         quarantined.len(),
                         quarantined.join(", ")
-                    ),
-                ));
+                    )),
+                );
             }
         }
     }
@@ -2917,12 +2875,13 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let e = run(&s(&["events"])).unwrap_err();
         assert!(e.contains("tail"), "{e}");
         assert!(e.contains("summarize"), "{e}");
-        assert!(e.contains("fsck"), "{e}");
-        // Usage drift guard: every events subcommand is documented.
+        // Usage drift guard: every events subcommand is documented, and
+        // the journal is checked by the one store-wide fsck.
         let u = usage();
         assert!(u.contains("vulfi events tail"), "{u}");
         assert!(u.contains("vulfi events summarize"), "{u}");
-        assert!(u.contains("vulfi events fsck"), "{u}");
+        assert!(u.contains("vulfi store fsck"), "{u}");
+        assert!(run(&s(&["events", "fsck"])).is_err());
         assert!(u.contains("--hotspots"), "{u}");
     }
 
@@ -2935,7 +2894,6 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let e = run(&s(&["alerts"])).unwrap_err();
         assert!(e.contains("check"), "{e}");
         assert!(e.contains("watch"), "{e}");
-        assert!(e.contains("fsck"), "{e}");
         // `check` without --rules points at the missing flag.
         let e = run(&s(&["alerts", "check"])).unwrap_err();
         assert!(e.contains("--rules"), "{e}");
@@ -2949,7 +2907,7 @@ export void scale(uniform float a[], uniform int n, uniform float s) {
         let u = usage();
         assert!(u.contains("vulfi alerts check"), "{u}");
         assert!(u.contains("vulfi alerts watch"), "{u}");
-        assert!(u.contains("vulfi alerts fsck"), "{u}");
+        assert!(!u.contains("alerts fsck"), "{u}");
         assert!(u.contains("vulfi trace export --chrome"), "{u}");
         assert!(u.contains("vulfi bench trend"), "{u}");
         assert!(u.contains("--rules FILE"), "{u}");

@@ -2,6 +2,8 @@
 //!
 //! - `vulfi store fsck` / `vulfi trace fsck` exit **non-zero** when a
 //!   log is corrupt and `--repair` was not given, zero after repair.
+//!   `store fsck` covers every log under the store root: shard logs,
+//!   the service journal and the telemetry series.
 //! - `vulfi gauntlet run` exits non-zero on an invariant breach and on
 //!   a partial store without `--resume`; a SIGKILLed gauntlet resumed
 //!   with `--resume` merges to the bit-identical verdicts of an
@@ -100,6 +102,54 @@ fn store_fsck_exit_codes_pin_corruption_policy() {
         0,
         "store is clean after repair",
     );
+}
+
+#[test]
+fn store_fsck_covers_the_journal_and_telemetry_series() {
+    let store = temp_dir("service_fsck");
+    let store_s = store.to_str().unwrap();
+    let mut journal = vulfi_orch::Journal::open(&store).unwrap();
+    for key in ["aaaa", "bbbb"] {
+        journal
+            .submit(&vulfi::StudySpec::default(), key, None)
+            .unwrap();
+    }
+    let series = vulfi_orch::TelemetryLog::open(&store).unwrap();
+    let mut sampler = vulfi_orch::Sampler::new();
+    let snapshot = vulfi_orch::Metrics::new().snapshot();
+    for t in [1_000, 2_000] {
+        let sample = sampler.sample_at(t, &snapshot, vulfi_orch::SamplerInputs::default());
+        series.append(&sample).unwrap();
+    }
+    assert_exit(
+        &vulfi(&["store", "fsck", "--store", store_s]),
+        0,
+        "clean fsck",
+    );
+
+    for log in [
+        store.join("events").join("ops.jsonl"),
+        store.join("telemetry").join("series.jsonl"),
+    ] {
+        corrupt_first_line(&log);
+        let out = vulfi(&["store", "fsck", "--store", store_s]);
+        assert_exit(&out, 1, "fsck must fail loudly on corruption");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("CORRUPT"),
+            "{}",
+            context(&out)
+        );
+        assert_exit(
+            &vulfi(&["store", "fsck", "--store", store_s, "--repair"]),
+            0,
+            "fsck --repair quarantines and succeeds",
+        );
+        assert_exit(
+            &vulfi(&["store", "fsck", "--store", store_s]),
+            0,
+            "store is clean after repair",
+        );
+    }
 }
 
 #[test]

@@ -199,20 +199,25 @@ fn dashboard_and_ops_events_reconstruct_the_lifecycle() {
         .iter()
         .find(|j| j.get("key").and_then(|k| k.as_str()) == Some(key.as_str()))
         .expect("summarized job for the study key");
-    assert_eq!(
-        job.get("outcome").and_then(|v| v.as_str()),
-        Some("completed")
-    );
+    assert_eq!(job.get("state").and_then(|v| v.as_str()), Some("Completed"));
     assert_eq!(job.get("tenant").and_then(|v| v.as_str()), Some("dash"));
     assert_eq!(job.get("experiments").and_then(|v| v.as_u64()), Some(20));
     assert!(job.get("shards").and_then(|v| v.as_u64()).unwrap_or(0) >= 4);
 
-    // Tail renders one line per event; fsck reports a healthy log.
+    // Tail renders one line per event; the store-wide fsck covers the
+    // journal and reports it healthy.
     let out = vulfi(&["events", "tail", "--store", store.to_str().unwrap()]);
     assert_ok(&out, "events tail");
     assert!(String::from_utf8_lossy(&out.stdout).contains("completed"));
-    let out = vulfi(&["events", "fsck", "--store", store.to_str().unwrap()]);
-    assert_ok(&out, "events fsck");
+    let out = vulfi(&[
+        "store",
+        "fsck",
+        "--store",
+        store.to_str().unwrap(),
+        "--json",
+    ]);
+    assert_ok(&out, "store fsck");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"journal\""));
 }
 
 /// Telemetry + alerting end to end: a daemon sampling on a fast
@@ -363,8 +368,15 @@ fn telemetry_alerts_fire_over_http_dashboard_and_cli() {
     let _ = client;
 
     // The resumed log is still a healthy CheckedLog.
-    let out = vulfi(&["alerts", "fsck", "--store", store.to_str().unwrap()]);
-    assert_ok(&out, "alerts fsck");
+    let out = vulfi(&[
+        "store",
+        "fsck",
+        "--store",
+        store.to_str().unwrap(),
+        "--json",
+    ]);
+    assert_ok(&out, "store fsck");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"telemetry\""));
 }
 
 /// The acceptance test for the service: kill -9 the daemon while workers

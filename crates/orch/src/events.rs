@@ -1,25 +1,39 @@
-//! Operational event log for the injection service.
+//! The store's journal: the one job log of the injection service.
 //!
-//! Where the job queue (`queue.rs`) is the *authoritative* state machine
-//! the daemon folds its job table from, the ops log is the *narrative*:
-//! one append-only, CRC-checksummed JSONL stream
+//! One append-only, CRC-checksummed JSONL stream
 //! (`<store>/events/ops.jsonl`, sharing the [`CheckedLog`] machinery
-//! with the shard, trace, and queue logs) recording everything the
-//! service did and when — job lifecycle, lease grants, per-shard
-//! durations, merges, fsck actions, engine faults. Every event carries
-//! its correlation IDs (job id, study key, worker id, shard range) so
-//! the full submit → lease → shards → merge lifecycle of any job can be
-//! reconstructed from the log alone (`vulfi events summarize`), long
-//! after the daemon and its TTY output are gone.
+//! with the shard, trace and telemetry logs) records everything the
+//! service did and when. Every event carries its correlation IDs (job
+//! id, study key, worker id, shard range), so the full submit → lease →
+//! shards → merge lifecycle of any job can be reconstructed from the
+//! log alone (`vulfi events summarize`), long after the daemon is gone.
 //!
-//! The log is observability, not state: nothing replays it to make
-//! decisions, so a quarantined ops log never blocks a study. It heals
-//! torn tails on open like every other `CheckedLog` and gets its own
-//! `vulfi events fsck`.
+//! The same stream is the job queue. Five kinds move a job between
+//! states — `Submitted` (carrying the spec), `Started`, `Requeued`,
+//! `Completed`, `Failed` — and the job table is a pure fold over the
+//! log: one `OpsSummary::apply` per event, used both by
+//! [`summarize_events`] and by the daemon's [`Journal`]. The journal
+//! folds the log **once**, on open, keeps the table in memory, and
+//! applies each event it appends after the line is durable, so the
+//! live table always equals what a fresh open replays. The other kinds
+//! (lease grants, shard completions, merges, engine faults, fsck and
+//! alert transitions) only add counters to the table.
+//!
+//! A torn trailing line (killed daemon) is healed on open like a torn
+//! shard. Mid-file corruption is loud: [`Journal::open`] refuses it
+//! with an error naming `vulfi store fsck --repair`, which quarantines
+//! the log and salvages every checksum-valid event. A job left
+//! `Running` by a dead daemon is re-queued by [`Journal::recover`];
+//! this is always safe, because its stored shards are reused and only
+//! the missing ones re-run. Job ids are never reused: the next id is
+//! one past the largest id on any surviving event, so a job whose
+//! `Submitted` line was lost cannot lend its id to a new one.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
+
+use vulfi::StudySpec;
 
 use crate::key::StudyKey;
 use crate::store::{CheckedLog, StudyFsck};
@@ -29,13 +43,13 @@ use crate::OrchError;
 /// payload on [`OpsEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum OpsKind {
-    /// A study was submitted (job + key + tenant in `detail`).
+    /// A study was submitted (job, key, spec; tenant in `detail`).
     Submitted,
     /// The daemon promoted the job to the active study.
     Started,
     /// A worker leased a shard range.
     LeaseGranted,
-    /// A lease expired or a dead daemon's job went back to the queue.
+    /// A dead daemon's running job went back to the queue.
     Requeued,
     /// A worker durably appended one executed shard (`wall_ns` is the
     /// shard's execution time).
@@ -74,7 +88,7 @@ impl OpsKind {
     }
 }
 
-/// One checksummed line of the ops log. Correlation fields are optional
+/// One checksummed line of the journal. Correlation fields are optional
 /// because not every event has every coordinate; an event carries all
 /// the IDs known at its emit site.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -82,7 +96,7 @@ pub struct OpsEvent {
     /// Wall-clock milliseconds since the Unix epoch.
     pub unix_ms: u64,
     pub kind: OpsKind,
-    /// Queue job id.
+    /// Job id.
     pub job: Option<u64>,
     /// Content-addressed study key.
     pub key: Option<String>,
@@ -97,6 +111,8 @@ pub struct OpsEvent {
     pub wall_ns: Option<u64>,
     /// Free-form context (tenant, error text, fsck findings).
     pub detail: Option<String>,
+    /// The submitted study (on `Submitted` events only).
+    pub spec: Option<StudySpec>,
 }
 
 impl OpsEvent {
@@ -112,6 +128,7 @@ impl OpsEvent {
             end: None,
             wall_ns: None,
             detail: None,
+            spec: None,
         }
     }
 
@@ -147,6 +164,11 @@ impl OpsEvent {
         self
     }
 
+    pub fn spec(mut self, spec: &StudySpec) -> OpsEvent {
+        self.spec = Some(spec.clone());
+        self
+    }
+
     /// One human-readable line (for `vulfi events tail`).
     pub fn render_line(&self) -> String {
         let mut s = format!("{:>13}  {:13}", self.unix_ms, self.kind.name());
@@ -179,14 +201,19 @@ fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// The operational event log, layered on a store directory.
+/// The raw journal file, layered on a store directory. Readers that only
+/// look ([`OpsLog::events`], `vulfi events tail`) use it directly; the
+/// daemon goes through [`Journal`].
 pub struct OpsLog {
     log: CheckedLog,
 }
 
 impl OpsLog {
-    /// Open (creating if needed) the ops log under `store_root/events`,
-    /// healing a torn tail left by a killed daemon.
+    /// Open (creating if needed) the log under `store_root/events`,
+    /// healing a torn tail left by a killed daemon. Mid-file corruption
+    /// does not make the log unopenable — fsck repairs through this same
+    /// handle — but every read stays loud and names
+    /// `vulfi store fsck --repair`.
     pub fn open(store_root: impl AsRef<Path>) -> Result<OpsLog, OrchError> {
         let dir = store_root.as_ref().join("events");
         std::fs::create_dir_all(&dir)
@@ -195,12 +222,9 @@ impl OpsLog {
             log: CheckedLog::new(
                 dir.join("ops.jsonl"),
                 dir.join("ops.quarantine"),
-                "vulfi events fsck --repair",
+                "vulfi store fsck --repair",
             ),
         };
-        // Mid-file corruption must not make the log unopenable — the
-        // daemon still has to start, and `vulfi events fsck` repairs
-        // through this same handle. Reads stay loud and point at fsck.
         let _ = log.log.trim_torn_tail::<OpsEvent>();
         Ok(log)
     }
@@ -210,8 +234,8 @@ impl OpsLog {
     }
 
     /// Durably append one event.
-    pub fn append(&self, ev: OpsEvent) -> Result<(), OrchError> {
-        self.log.append(&ev)
+    pub fn append(&self, ev: &OpsEvent) -> Result<(), OrchError> {
+        self.log.append(ev)
     }
 
     /// Every event, oldest first.
@@ -226,27 +250,54 @@ impl OpsLog {
         Ok(evs.split_off(skip))
     }
 
-    /// Fold the log into per-job lifecycles.
-    pub fn summarize(&self) -> Result<OpsSummary, OrchError> {
-        Ok(summarize_events(&self.events()?))
-    }
-
-    /// Integrity-check the ops log; with `repair`, quarantine a corrupt
-    /// log and salvage the intact lines.
+    /// Check the journal; with `repair`, quarantine a damaged log and
+    /// salvage every checksum-valid event into a fresh one. Jobs keep
+    /// the last state their surviving events give them.
     pub fn fsck(&self, repair: bool) -> Result<StudyFsck, OrchError> {
         self.log
-            .fsck::<OpsEvent>(StudyKey("ops".to_string()), repair)
+            .fsck::<OpsEvent>(StudyKey("journal".to_string()), repair)
     }
 }
 
-/// Reconstructed lifecycle of one job, folded from the ops log alone.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct JobLifecycle {
-    pub job: u64,
+/// Lifecycle states of a submitted study job.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum JobState {
+    /// Waiting for workers.
+    #[default]
+    Queued,
+    /// Workers are executing (or a dead daemon never finished — see
+    /// [`Journal::recover`]).
+    Running,
+    Completed,
+    Failed,
+}
+
+impl JobState {
+    pub fn name(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Completed => "completed",
+            JobState::Failed => "failed",
+        }
+    }
+}
+
+/// One job, folded from its events.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct JobRecord {
+    pub id: u64,
+    /// The submitted study; `None` when the job's `Submitted` event is
+    /// missing (a salvaged journal), and such a job fails at promotion.
+    pub spec: Option<StudySpec>,
+    pub state: JobState,
     pub key: Option<String>,
-    /// Tenant, when the submit event carried one.
     pub tenant: Option<String>,
+    pub error: Option<String>,
     pub submitted_unix_ms: u64,
+    /// Time of the job's latest event.
+    pub updated_unix_ms: u64,
+    pub finished_unix_ms: Option<u64>,
     /// Queue wait (submit → start), when both events are present.
     pub queue_wait_ms: Option<u64>,
     pub leases: u64,
@@ -260,18 +311,14 @@ pub struct JobLifecycle {
     pub workers: Vec<String>,
     pub engine_faults: u64,
     pub merged: bool,
-    /// Terminal state as told by the log: "completed", "failed", or
-    /// "in-flight" when no terminal event has landed (yet).
-    pub outcome: String,
-    pub error: Option<String>,
-    pub finished_unix_ms: Option<u64>,
 }
 
-/// Whole-log rollup.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// The folded journal: the job table, in order of each job's first
+/// event, plus the store-wide counters.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OpsSummary {
     pub events: u64,
-    pub jobs: Vec<JobLifecycle>,
+    pub jobs: Vec<JobRecord>,
     /// Fsck events are store-wide, not per-job.
     pub fsck_actions: u64,
     /// Alert firing/resolved transitions (store-wide, like fsck).
@@ -280,43 +327,37 @@ pub struct OpsSummary {
 
 /// Pure fold: the summary is a function of the event list, nothing else.
 pub fn summarize_events(events: &[OpsEvent]) -> OpsSummary {
-    let mut jobs: Vec<JobLifecycle> = Vec::new();
-    let mut fsck_actions = 0u64;
-    let mut alert_transitions = 0u64;
+    let mut table = OpsSummary::default();
     for ev in events {
-        if ev.kind == OpsKind::Fsck {
-            fsck_actions += 1;
-            continue;
+        table.apply(ev);
+    }
+    table
+}
+
+impl OpsSummary {
+    /// Fold one event into the table — the one transition function, used
+    /// by the open-time replay and by every live append alike.
+    pub(crate) fn apply(&mut self, ev: &OpsEvent) {
+        self.events += 1;
+        match ev.kind {
+            OpsKind::Fsck => self.fsck_actions += 1,
+            OpsKind::AlertFiring | OpsKind::AlertResolved => self.alert_transitions += 1,
+            _ => {}
         }
-        if matches!(ev.kind, OpsKind::AlertFiring | OpsKind::AlertResolved) {
-            alert_transitions += 1;
-            continue;
-        }
-        let Some(id) = ev.job else { continue };
-        let job = match jobs.iter_mut().find(|j| j.job == id) {
-            Some(j) => j,
+        let Some(id) = ev.job else { return };
+        // Events land in job order, so the job is almost always near the end.
+        let job = match self.jobs.iter().rposition(|j| j.id == id) {
+            Some(i) => &mut self.jobs[i],
             None => {
-                jobs.push(JobLifecycle {
-                    job: id,
-                    key: None,
-                    tenant: None,
+                self.jobs.push(JobRecord {
+                    id,
                     submitted_unix_ms: ev.unix_ms,
-                    queue_wait_ms: None,
-                    leases: 0,
-                    requeues: 0,
-                    shards: 0,
-                    experiments: 0,
-                    shard_wall_ns: 0,
-                    workers: Vec::new(),
-                    engine_faults: 0,
-                    merged: false,
-                    outcome: "in-flight".to_string(),
-                    error: None,
-                    finished_unix_ms: None,
+                    ..JobRecord::default()
                 });
-                jobs.last_mut().expect("just pushed")
+                self.jobs.last_mut().expect("just pushed")
             }
         };
+        job.updated_unix_ms = ev.unix_ms;
         if job.key.is_none() {
             job.key = ev.key.clone();
         }
@@ -324,12 +365,26 @@ pub fn summarize_events(events: &[OpsEvent]) -> OpsSummary {
             OpsKind::Submitted => {
                 job.submitted_unix_ms = ev.unix_ms;
                 job.tenant = ev.detail.clone();
+                job.spec = ev.spec.clone();
             }
             OpsKind::Started => {
+                job.state = JobState::Running;
                 job.queue_wait_ms = Some(ev.unix_ms.saturating_sub(job.submitted_unix_ms));
             }
+            OpsKind::Requeued => {
+                job.state = JobState::Queued;
+                job.requeues += 1;
+            }
+            OpsKind::Completed => {
+                job.state = JobState::Completed;
+                job.finished_unix_ms = Some(ev.unix_ms);
+            }
+            OpsKind::Failed => {
+                job.state = JobState::Failed;
+                job.error = ev.detail.clone();
+                job.finished_unix_ms = Some(ev.unix_ms);
+            }
             OpsKind::LeaseGranted => job.leases += 1,
-            OpsKind::Requeued => job.requeues += 1,
             OpsKind::ShardDone => {
                 job.shards += 1;
                 if let (Some(s), Some(e)) = (ev.start, ev.end) {
@@ -343,30 +398,26 @@ pub fn summarize_events(events: &[OpsEvent]) -> OpsSummary {
                 }
             }
             OpsKind::Merged => job.merged = true,
-            OpsKind::Completed => {
-                job.outcome = "completed".to_string();
-                job.finished_unix_ms = Some(ev.unix_ms);
-            }
-            OpsKind::Failed => {
-                job.outcome = "failed".to_string();
-                job.error = ev.detail.clone();
-                job.finished_unix_ms = Some(ev.unix_ms);
-            }
             OpsKind::EngineFault => job.engine_faults += 1,
-            OpsKind::Fsck | OpsKind::AlertFiring | OpsKind::AlertResolved => {
-                unreachable!("handled above")
-            }
+            OpsKind::Fsck | OpsKind::AlertFiring | OpsKind::AlertResolved => {}
         }
     }
-    OpsSummary {
-        events: events.len() as u64,
-        jobs,
-        fsck_actions,
-        alert_transitions,
-    }
-}
 
-impl OpsSummary {
+    pub fn job(&self, id: u64) -> Option<&JobRecord> {
+        self.jobs.iter().rev().find(|j| j.id == id)
+    }
+
+    /// Oldest queued job, if any.
+    pub fn next_queued(&self) -> Option<&JobRecord> {
+        self.jobs.iter().find(|j| j.state == JobState::Queued)
+    }
+
+    /// One past the largest job id on any event, so no id is ever
+    /// handed out twice — not even one whose `Submitted` line was lost.
+    fn next_id(&self) -> u64 {
+        self.jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1
+    }
+
     /// Distinct workers across every job.
     pub fn workers(&self) -> Vec<String> {
         let set: BTreeSet<&String> = self.jobs.iter().flat_map(|j| &j.workers).collect();
@@ -374,8 +425,117 @@ impl OpsSummary {
     }
 }
 
-impl JobLifecycle {
-    /// Multi-line human rendering of one lifecycle.
+/// The daemon's handle on the journal: the log plus its folded table,
+/// replayed once on open and kept current by every append. Callers
+/// serialize access (the daemon holds it under one mutex).
+pub struct Journal {
+    log: OpsLog,
+    table: OpsSummary,
+}
+
+impl Journal {
+    /// Open the journal under `store_root` and fold it into the job
+    /// table. A torn tail is healed; mid-file corruption is an error
+    /// naming `vulfi store fsck --repair`.
+    pub fn open(store_root: impl AsRef<Path>) -> Result<Journal, OrchError> {
+        let log = OpsLog::open(store_root)?;
+        let table = summarize_events(&log.events()?);
+        Ok(Journal { log, table })
+    }
+
+    pub fn table(&self) -> &OpsSummary {
+        &self.table
+    }
+
+    /// Every event on disk, oldest first (a file read, not the table).
+    pub fn events(&self) -> Result<Vec<OpsEvent>, OrchError> {
+        self.log.events()
+    }
+
+    pub fn path(&self) -> PathBuf {
+        self.log.path()
+    }
+
+    /// Durably append `ev`, then fold it into the table. A failed append
+    /// leaves the table untouched, so it never runs ahead of the log.
+    pub fn append(&mut self, ev: OpsEvent) -> Result<(), OrchError> {
+        self.log.append(&ev)?;
+        self.table.apply(&ev);
+        Ok(())
+    }
+
+    /// Durably enqueue `spec` under its content-addressed study key;
+    /// returns the new job id.
+    pub fn submit(
+        &mut self,
+        spec: &StudySpec,
+        key: &str,
+        tenant: Option<&str>,
+    ) -> Result<u64, OrchError> {
+        let id = self.table.next_id();
+        let mut ev = OpsEvent::new(OpsKind::Submitted)
+            .job(id)
+            .key(key)
+            .spec(spec);
+        ev.detail = tenant.map(str::to_string);
+        self.append(ev)?;
+        Ok(id)
+    }
+
+    /// A worker picked `job` up; returns its queue wait in nanoseconds.
+    pub fn started(&mut self, job: u64) -> Result<u64, OrchError> {
+        let ev = self.lifecycle(job, OpsKind::Started);
+        let submitted = self
+            .table
+            .job(job)
+            .map_or(ev.unix_ms, |j| j.submitted_unix_ms);
+        let wait_ns = ev
+            .unix_ms
+            .saturating_sub(submitted)
+            .saturating_mul(1_000_000);
+        self.append(ev.wall_ns(wait_ns))?;
+        Ok(wait_ns)
+    }
+
+    pub fn completed(&mut self, job: u64) -> Result<(), OrchError> {
+        let ev = self.lifecycle(job, OpsKind::Completed);
+        self.append(ev)
+    }
+
+    pub fn failed(&mut self, job: u64, error: &str) -> Result<(), OrchError> {
+        let ev = self.lifecycle(job, OpsKind::Failed).detail(error);
+        self.append(ev)
+    }
+
+    /// Re-queue every `Running` job (dead-daemon recovery). Returns the
+    /// ids pushed back to `Queued`.
+    pub fn recover(&mut self) -> Result<Vec<u64>, OrchError> {
+        let orphans: Vec<u64> = self
+            .table
+            .jobs
+            .iter()
+            .filter(|j| j.state == JobState::Running)
+            .map(|j| j.id)
+            .collect();
+        for &id in &orphans {
+            let ev = self
+                .lifecycle(id, OpsKind::Requeued)
+                .detail("orphaned by a dead daemon");
+            self.append(ev)?;
+        }
+        Ok(orphans)
+    }
+
+    /// An event about `job`, carrying the job's study key.
+    fn lifecycle(&self, job: u64, kind: OpsKind) -> OpsEvent {
+        let mut ev = OpsEvent::new(kind).job(job);
+        ev.key = self.table.job(job).and_then(|j| j.key.clone());
+        ev
+    }
+}
+
+impl JobRecord {
+    /// Multi-line human rendering of one job.
     pub fn render(&self) -> String {
         let key = self
             .key
@@ -389,9 +549,9 @@ impl JobLifecycle {
         let mut s = format!(
             "job {:>3}  {}  {}  queue-wait {}  {} lease(s), {} shard(s) / {} experiment(s) \
              on {} worker(s), {:.1}ms shard time",
-            self.job,
+            self.id,
             key,
-            self.outcome,
+            self.state.name(),
             wait,
             self.leases,
             self.shards,
@@ -418,6 +578,7 @@ impl JobLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vulfi_ops_{tag}_{}", std::process::id()));
@@ -425,73 +586,84 @@ mod tests {
         dir
     }
 
-    fn full_lifecycle(log: &OpsLog) {
-        log.append(
-            OpsEvent::new(OpsKind::Submitted)
-                .job(1)
-                .key("deadbeef")
-                .detail("alice"),
-        )
-        .unwrap();
-        log.append(OpsEvent::new(OpsKind::Started).job(1).key("deadbeef"))
-            .unwrap();
-        for (i, w) in ["w0", "w1", "w0"].iter().enumerate() {
-            log.append(
-                OpsEvent::new(OpsKind::LeaseGranted)
-                    .job(1)
-                    .key("deadbeef")
-                    .worker(w)
-                    .shard(0, i as u64 * 5, (i as u64 + 1) * 5),
-            )
-            .unwrap();
-            log.append(
-                OpsEvent::new(OpsKind::ShardDone)
-                    .job(1)
-                    .key("deadbeef")
-                    .worker(w)
-                    .shard(0, i as u64 * 5, (i as u64 + 1) * 5)
-                    .wall_ns(1_000_000),
-            )
-            .unwrap();
+    fn spec(bench: &str) -> StudySpec {
+        StudySpec {
+            bench: bench.to_string(),
+            ..StudySpec::default()
         }
-        log.append(OpsEvent::new(OpsKind::Merged).job(1).key("deadbeef"))
+    }
+
+    /// One served job, submit to completion, with three shards on two
+    /// workers.
+    fn full_lifecycle(j: &mut Journal) -> u64 {
+        let id = j
+            .submit(&spec("vector sum"), "deadbeef", Some("alice"))
             .unwrap();
-        log.append(OpsEvent::new(OpsKind::Completed).job(1).key("deadbeef"))
+        j.started(id).unwrap();
+        for (i, w) in ["w0", "w1", "w0"].iter().enumerate() {
+            let (a, b) = (i as u64 * 5, (i as u64 + 1) * 5);
+            let ev = |kind| OpsEvent::new(kind).job(id).key("deadbeef").worker(w);
+            j.append(ev(OpsKind::LeaseGranted).shard(0, a, b)).unwrap();
+            j.append(ev(OpsKind::ShardDone).shard(0, a, b).wall_ns(1_000_000))
+                .unwrap();
+        }
+        j.append(OpsEvent::new(OpsKind::Merged).job(id).key("deadbeef"))
             .unwrap();
+        j.completed(id).unwrap();
+        id
     }
 
     #[test]
-    fn summarize_reconstructs_the_full_lifecycle() {
+    fn the_table_reconstructs_the_full_lifecycle() {
         let root = temp_root("lifecycle");
-        let log = OpsLog::open(&root).unwrap();
-        full_lifecycle(&log);
+        let mut j = Journal::open(&root).unwrap();
+        assert!(j.table().jobs.is_empty());
+        full_lifecycle(&mut j);
 
-        let s = log.summarize().unwrap();
+        let s = j.table();
         assert_eq!(s.events, 10);
         assert_eq!(s.jobs.len(), 1);
-        let j = &s.jobs[0];
-        assert_eq!(j.job, 1);
-        assert_eq!(j.key.as_deref(), Some("deadbeef"));
-        assert_eq!(j.tenant.as_deref(), Some("alice"));
-        assert!(j.queue_wait_ms.is_some(), "submit → start wait known");
-        assert_eq!((j.leases, j.shards, j.experiments), (3, 3, 15));
-        assert_eq!(j.shard_wall_ns, 3_000_000);
-        assert_eq!(j.workers, vec!["w0".to_string(), "w1".to_string()]);
-        assert!(j.merged);
-        assert_eq!(j.outcome, "completed");
-        assert!(j.finished_unix_ms.is_some());
+        let r = &s.jobs[0];
+        assert_eq!(r.id, 1);
+        assert_eq!(
+            r.spec.as_ref().map(|s| s.bench.as_str()),
+            Some("vector sum")
+        );
+        assert_eq!(r.key.as_deref(), Some("deadbeef"));
+        assert_eq!(r.tenant.as_deref(), Some("alice"));
+        assert!(r.queue_wait_ms.is_some(), "submit → start wait known");
+        assert_eq!((r.leases, r.shards, r.experiments), (3, 3, 15));
+        assert_eq!(r.shard_wall_ns, 3_000_000);
+        assert_eq!(r.workers, vec!["w0".to_string(), "w1".to_string()]);
+        assert!(r.merged);
+        assert_eq!(r.state, JobState::Completed);
+        assert!(r.finished_unix_ms.is_some());
         assert_eq!(s.workers(), vec!["w0".to_string(), "w1".to_string()]);
 
-        let line = j.render();
+        let line = r.render();
         assert!(line.contains("3 shard(s) / 15 experiment(s)"), "{line}");
+        assert!(line.contains("completed"), "{line}");
         assert!(line.contains("merged"), "{line}");
+
+        // The journal is the queue: FIFO over queued jobs, failures kept.
+        let a = j.submit(&spec("vector sum"), "aaaa", None).unwrap();
+        let b = j.submit(&spec("dot product"), "bbbb", None).unwrap();
+        assert_eq!(j.table().next_queued().unwrap().id, a, "FIFO");
+        j.started(a).unwrap();
+        assert_eq!(j.table().next_queued().unwrap().id, b);
+        j.failed(a, "boom").unwrap();
+        let r = j.table().job(a).unwrap();
+        assert_eq!(r.state, JobState::Failed);
+        assert_eq!(r.error.as_deref(), Some("boom"));
+        assert!(r.render().contains("error: boom"));
     }
 
     #[test]
     fn tail_returns_most_recent_events() {
         let root = temp_root("tail");
+        let mut j = Journal::open(&root).unwrap();
+        full_lifecycle(&mut j);
         let log = OpsLog::open(&root).unwrap();
-        full_lifecycle(&log);
         let t = log.tail(2).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].kind, OpsKind::Merged);
@@ -502,60 +674,128 @@ mod tests {
     }
 
     #[test]
-    fn failed_job_and_fsck_actions_are_summarized() {
-        let root = temp_root("failed");
-        let log = OpsLog::open(&root).unwrap();
-        log.append(OpsEvent::new(OpsKind::Submitted).job(7).key("cafe"))
-            .unwrap();
-        log.append(
+    fn store_wide_events_and_narrative_counters_are_summarized() {
+        let events = [
+            OpsEvent::new(OpsKind::Submitted).job(7).key("cafe"),
             OpsEvent::new(OpsKind::Failed)
                 .job(7)
                 .key("cafe")
                 .detail("boom"),
-        )
-        .unwrap();
-        log.append(OpsEvent::new(OpsKind::Fsck).detail("quarantined 1 log"))
-            .unwrap();
-        log.append(OpsEvent::new(OpsKind::EngineFault).job(7).detail("panic"))
-            .unwrap();
-        log.append(OpsEvent::new(OpsKind::AlertFiring).detail("high-sdc value 9.1"))
-            .unwrap();
-        log.append(OpsEvent::new(OpsKind::AlertResolved).detail("high-sdc value 1.2"))
-            .unwrap();
-        let s = log.summarize().unwrap();
+            OpsEvent::new(OpsKind::Fsck).detail("quarantined 1 log"),
+            OpsEvent::new(OpsKind::EngineFault).job(7).detail("panic"),
+            OpsEvent::new(OpsKind::AlertFiring).detail("high-sdc value 9.1"),
+            OpsEvent::new(OpsKind::AlertResolved).detail("high-sdc value 1.2"),
+        ];
+        let s = summarize_events(&events);
         assert_eq!(s.fsck_actions, 1);
         assert_eq!(s.alert_transitions, 2, "alert events are store-wide");
-        let j = &s.jobs[0];
-        assert_eq!(j.outcome, "failed");
-        assert_eq!(j.error.as_deref(), Some("boom"));
-        assert_eq!(j.engine_faults, 1);
-        assert!(j.render().contains("error: boom"));
+        let r = &s.jobs[0];
+        assert_eq!(r.state, JobState::Failed);
+        assert_eq!(r.error.as_deref(), Some("boom"));
+        assert_eq!(r.engine_faults, 1);
     }
 
     #[test]
-    fn torn_tail_is_healed_on_open_and_fsck_reports_corruption() {
+    fn reopen_recovers_orphans_and_ids_keep_advancing() {
+        let root = temp_root("reopen");
+        let id = {
+            let mut j = Journal::open(&root).unwrap();
+            let id = j.submit(&spec("vector sum"), "deadbeef", None).unwrap();
+            j.started(id).unwrap();
+            id
+        };
+        // "Daemon restart": the running job is re-queued, spec intact.
+        let mut j = Journal::open(&root).unwrap();
+        assert_eq!(j.recover().unwrap(), vec![id]);
+        let job = j.table().next_queued().unwrap();
+        assert_eq!(job.id, id);
+        assert_eq!(job.requeues, 1);
+        assert_eq!(job.spec.as_ref().unwrap().bench, "vector sum");
+        let next = j.submit(&spec("dot product"), "cafef00d", None).unwrap();
+        assert!(next > id);
+        // Recovery is idempotent: nothing running now.
+        assert!(j.recover().unwrap().is_empty());
+    }
+
+    #[test]
+    fn torn_tail_heals_on_open_and_corruption_is_loud_until_fsck() {
         let root = temp_root("torn");
         let path = {
-            let log = OpsLog::open(&root).unwrap();
-            full_lifecycle(&log);
-            log.path()
+            let mut j = Journal::open(&root).unwrap();
+            full_lifecycle(&mut j);
+            j.path()
         };
         // Killed writer: half a trailing line vanishes on reopen.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"{\"unix_ms\":1,\"kind\":\"Shar");
         std::fs::write(&path, &bytes).unwrap();
-        let log = OpsLog::open(&root).unwrap();
-        assert_eq!(log.events().unwrap().len(), 10);
+        assert_eq!(Journal::open(&root).unwrap().table().events, 10);
 
-        // Mid-file corruption: loud until repaired, then salvaged.
+        // Mid-file corruption: the journal refuses to open until repaired.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-        let err = log.events().unwrap_err();
-        assert!(err.0.contains("vulfi events fsck"), "{err}");
-        let report = log.fsck(true).unwrap();
+        let err = Journal::open(&root).err().expect("corruption must be loud");
+        assert!(err.0.contains("vulfi store fsck --repair"), "{err}");
+        let report = OpsLog::open(&root).unwrap().fsck(true).unwrap();
         assert!(report.quarantined.is_some());
-        assert!(log.events().unwrap().len() < 10, "corrupt line dropped");
+        assert!(Journal::open(&root).unwrap().table().events < 10);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any interleaving of lifecycle transitions (requeues included)
+        /// and narrative events folds live to exactly the table a fresh
+        /// open replays, and no two submits share an id, not even after
+        /// a salvage lost a submit line.
+        #[test]
+        fn journal_replay_equals_live_table(
+            ops in prop::collection::vec((0u8..10, 0u64..6), 1..60),
+        ) {
+            let root = temp_root("replay");
+            let mut j = Journal::open(&root).unwrap();
+            let mut ids = Vec::new();
+            for (op, pick) in ops {
+                let job = ids.get(pick as usize % ids.len().max(1)).copied().unwrap_or(1);
+                let ev = |kind| OpsEvent::new(kind).job(job).key("k").worker("w0");
+                match op {
+                    0 | 1 => {
+                        let id = j.submit(&spec("vector sum"), &format!("k{pick}"), None).unwrap();
+                        prop_assert!(!ids.contains(&id), "id {} reused", id);
+                        ids.push(id);
+                    }
+                    2 => { j.started(job).unwrap(); }
+                    3 => j.completed(job).unwrap(),
+                    4 => j.failed(job, "boom").unwrap(),
+                    5 => { j.recover().unwrap(); }
+                    6 => j.append(ev(OpsKind::LeaseGranted).shard(0, 0, 2)).unwrap(),
+                    7 => j.append(ev(OpsKind::ShardDone).shard(0, 0, 2).wall_ns(5)).unwrap(),
+                    8 => j.append(ev(OpsKind::Merged)).unwrap(),
+                    _ => j.append(OpsEvent::new(OpsKind::AlertFiring).detail("a")).unwrap(),
+                }
+            }
+            let replayed = Journal::open(&root).unwrap();
+            prop_assert_eq!(replayed.table(), j.table());
+
+            // Salvage the journal without the submit line of the newest
+            // job that has later events: its id must stay taken.
+            let events = j.events().unwrap();
+            let later = events.iter().filter(|e| e.kind != OpsKind::Submitted);
+            if let Some(lost) = later.filter_map(|e| e.job).max() {
+                let text = std::fs::read_to_string(j.path()).unwrap();
+                let needle = format!("\"job\":{lost},");
+                let kept: Vec<&str> = text
+                    .lines()
+                    .filter(|l| !(l.contains("\"Submitted\"") && l.contains(&needle)))
+                    .collect();
+                std::fs::write(j.path(), kept.join("\n")).unwrap();
+                let mut salvaged = Journal::open(&root).unwrap();
+                prop_assert!(salvaged.table().job(lost).is_some());
+                let id = salvaged.submit(&spec("vector sum"), "new", None).unwrap();
+                prop_assert!(id > lost && !ids.contains(&id), "id {} reused after salvage", id);
+            }
+        }
     }
 }

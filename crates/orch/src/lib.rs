@@ -14,6 +14,10 @@
 //!   a run loses at most the in-flight shards, a flipped byte is detected
 //!   rather than merged, and [`Store::fsck`] quarantines a damaged log
 //!   and salvages every intact record.
+//! - **One journal** ([`events`]): a service store keeps one job log,
+//!   `<store>/events/ops.jsonl`. It is both the operational narrative
+//!   and the job queue: [`Journal`] folds it once on open into the job
+//!   table and keeps that table current with every append.
 //! - **Deterministic sharding** ([`plan`]): every experiment's RNG
 //!   derives from its `(campaign, index)` coordinates, so any partition
 //!   into shards, on any thread count, merges to the bit-identical
@@ -47,7 +51,6 @@ pub mod lease;
 pub mod metrics;
 pub mod observe;
 pub mod plan;
-pub mod queue;
 pub mod run;
 pub mod scenario;
 pub mod store;
@@ -68,7 +71,9 @@ pub use analytics::{
 };
 pub use cell::Cell;
 pub use crc::crc32;
-pub use events::{summarize_events, JobLifecycle, OpsEvent, OpsKind, OpsLog, OpsSummary};
+pub use events::{
+    summarize_events, JobRecord, JobState, Journal, OpsEvent, OpsKind, OpsLog, OpsSummary,
+};
 pub use key::{study_key, StudyKey};
 pub use lease::{Lease, LeaseBoard, LeaseStats};
 pub use metrics::{
@@ -76,7 +81,6 @@ pub use metrics::{
 };
 pub use observe::{humanize, Progress, ProgressSnapshot};
 pub use plan::{covered_experiments, merge, merged_dyn_insts, missing_jobs, plan_shards, ShardJob};
-pub use queue::{JobQueue, JobRecord, JobState};
 pub use run::{
     run_shard, run_study_persistent, set_jobs, verify_soundness, ProgressFn, RunOptions, RunOutcome,
 };

@@ -41,7 +41,6 @@ use vulfi::{Experiment, StudyConfig};
 
 use crate::crc::crc32;
 use crate::key::StudyKey;
-use crate::queue::JobQueue;
 use crate::OrchError;
 
 /// Study identity + configuration, persisted next to the shard log.
@@ -127,7 +126,8 @@ impl StudyFsck {
 }
 
 /// Store-wide fsck report: one entry per checked log (each study's
-/// shard log and, in a service store, the job queue).
+/// shard log and, in a service store, the journal and the telemetry
+/// series).
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
     pub studies: Vec<StudyFsck>,
@@ -180,17 +180,21 @@ impl Store {
         Ok(keys)
     }
 
-    /// Check (and with `repair`, heal) every study's shard log, and the
-    /// job queue's log when the store has one (see [`JobQueue::fsck`]).
+    /// Check (and with `repair`, heal) every checksummed log under the
+    /// store root: each study's shard log, and the service's journal
+    /// and telemetry series when the store has them.
     pub fn fsck(&self, repair: bool) -> Result<FsckReport, OrchError> {
         let mut report = FsckReport::default();
         for key in self.studies()? {
             report.studies.push(self.study(&key).fsck(repair)?);
         }
-        if self.root.join("queue").join("events.jsonl").is_file() {
-            report
-                .studies
-                .push(JobQueue::open(&self.root)?.fsck(repair)?);
+        if self.root.join("events").join("ops.jsonl").is_file() {
+            let journal = crate::OpsLog::open(&self.root)?;
+            report.studies.push(journal.fsck(repair)?);
+        }
+        if self.root.join("telemetry").join("series.jsonl").is_file() {
+            let series = crate::TelemetryLog::open(&self.root)?;
+            report.studies.push(series.fsck(repair)?);
         }
         Ok(report)
     }

@@ -10,9 +10,9 @@
 //!   renders sparklines from and the alert engine evaluates over;
 //! - on disk, as one CRC-checksummed JSONL line per sample under
 //!   `<store>/telemetry/series.jsonl` ([`TelemetryLog`], sharing the
-//!   [`CheckedLog`] machinery with the shard, queue, and ops logs), so
+//!   [`CheckedLog`] machinery with the shard logs and the journal), so
 //!   history survives daemon restarts, heals torn tails on open, and
-//!   gets its own `vulfi alerts fsck`.
+//!   is checked by `vulfi store fsck`.
 //!
 //! Each [`TelemetrySample`] carries both the raw cumulative counters and
 //! the delta-derived rates (exp/s, engine faults/s, lease-expiry
@@ -260,9 +260,8 @@ impl TelemetryRing {
 }
 
 /// The persisted half of the ring: `<store>/telemetry/series.jsonl`,
-/// one checksummed line per sample. Like the ops log it is
-/// observability, not state — a quarantined telemetry log never blocks
-/// a study or a daemon start.
+/// one checksummed line per sample. It is observability, not state: a
+/// quarantined telemetry log never blocks a study.
 pub struct TelemetryLog {
     log: CheckedLog,
 }
@@ -279,7 +278,7 @@ impl TelemetryLog {
             log: CheckedLog::new(
                 dir.join("series.jsonl"),
                 dir.join("series.quarantine"),
-                "vulfi alerts fsck --repair",
+                "vulfi store fsck --repair",
             ),
         };
         // Mid-file corruption must not wedge daemon start; reads stay
@@ -500,7 +499,7 @@ mod tests {
         bytes[mid] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         let err = log.samples().unwrap_err();
-        assert!(err.0.contains("vulfi alerts fsck"), "{err}");
+        assert!(err.0.contains("vulfi store fsck"), "{err}");
         let report = log.fsck(true).unwrap();
         assert!(report.quarantined.is_some());
         assert!(log.samples().unwrap().len() < 4, "corrupt line dropped");

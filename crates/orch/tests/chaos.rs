@@ -327,122 +327,46 @@ fn kill_corrupt_fsck_resume_loop_always_converges_bit_identically() {
     assert!(repairs > 0, "chaos schedule never hit the fsck path");
 }
 
-/// The operational event log under the same adversary as the shard
-/// store: a writer killed mid-append (torn tail), random byte flips,
-/// and fsck-driven recovery — every reopen must keep accepting events,
-/// every readable state must summarize to internally-consistent
-/// lifecycles, and corruption must either vanish (torn tail) or fail
-/// loudly and be healed by `fsck`.
+/// The journal under the same adversary as the shard store: a daemon
+/// killed mid-append leaves a torn tail the next open heals; a flipped
+/// byte stops the next daemon at open, loudly, naming `vulfi store fsck
+/// --repair`, and the store-wide fsck that command runs quarantines and
+/// salvages the journal. After that, startup recovery re-queues whatever
+/// the surviving events left running, every readable state folds to
+/// internally consistent jobs, and the live table always equals a fresh
+/// replay.
 #[test]
-fn ops_log_survives_kill_corrupt_fsck_resume_loop() {
-    use vulfi_orch::{OpsEvent, OpsKind, OpsLog};
-
-    let root = temp_store("opslog");
-    let mut chaos = Chaos(0x0B5E_7A11);
-    let mut repairs = 0usize;
-
-    for round in 0..12u64 {
-        // Reopen (a "new daemon"): heals torn tails, never refuses to
-        // start over mid-file corruption.
-        let log = OpsLog::open(&root).unwrap();
-        if log.events().is_err() {
-            // Last round's flip landed mid-file: loud, then healed.
-            let report = log.fsck(true).unwrap();
-            assert!(report.quarantined.is_some(), "repair must quarantine");
-            repairs += 1;
-        }
-
-        // One full job lifecycle lands durably.
-        let key = format!("study{round}");
-        log.append(OpsEvent::new(OpsKind::Submitted).job(round).key(&key))
-            .unwrap();
-        log.append(OpsEvent::new(OpsKind::Started).job(round).key(&key))
-            .unwrap();
-        log.append(
-            OpsEvent::new(OpsKind::ShardDone)
-                .job(round)
-                .key(&key)
-                .worker("w0")
-                .shard(0, 0, 5)
-                .wall_ns(1_000_000),
-        )
-        .unwrap();
-        log.append(OpsEvent::new(OpsKind::Merged).job(round).key(&key))
-            .unwrap();
-        log.append(OpsEvent::new(OpsKind::Completed).job(round).key(&key))
-            .unwrap();
-
-        // The fold must see this round's lifecycle and never produce an
-        // inconsistent one from whatever survived earlier rounds.
-        let s = log.summarize().unwrap();
-        let j = s
-            .jobs
-            .iter()
-            .find(|j| j.job == round)
-            .expect("freshly appended lifecycle must fold");
-        assert_eq!(j.outcome, "completed");
-        assert!(j.merged);
-        for j in &s.jobs {
-            assert!(
-                j.shards >= u64::from(!j.workers.is_empty()),
-                "workers imply shards: {j:?}"
-            );
-        }
-
-        // Chaos: torn trailing append (killed writer), a flipped byte,
-        // or nothing.
-        let path = log.path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        match chaos.below(3) {
-            0 => bytes.extend_from_slice(b"\n{\"unix_ms\":1,\"kind\":\"Subm"),
-            1 => {
-                let pos = chaos.below(bytes.len() as u64) as usize;
-                bytes[pos] ^= 1 << chaos.below(8);
-            }
-            _ => {}
-        }
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    // The deterministic schedule must exercise the quarantine path.
-    assert!(repairs > 0, "chaos schedule never hit the fsck path");
-}
-
-/// The job queue is a CheckedLog like the others: a daemon killed
-/// mid-append leaves a torn tail the next open heals; a flipped byte
-/// stops the next daemon at startup, loudly, naming `vulfi store fsck
-/// --repair` — and the store-wide fsck that command runs quarantines and
-/// salvages the queue, after which startup recovery re-queues whatever
-/// the surviving events left running.
-#[test]
-fn job_queue_survives_kill_corrupt_fsck_resume_loop() {
+fn journal_survives_kill_corrupt_fsck_resume_loop() {
     use vulfi::StudySpec;
-    use vulfi_orch::{JobQueue, JobState};
+    use vulfi_orch::{JobState, Journal, OpsEvent, OpsKind};
 
-    let root = temp_store("queue");
+    let root = temp_store("journal");
     let mut chaos = Chaos(0x0051_ED0C);
     let mut repairs = 0usize;
 
     for round in 0..12u64 {
-        // A "new daemon": opening never refuses, startup recovery reads
-        // the whole queue.
-        let queue = JobQueue::open(&root).unwrap();
-        if let Err(e) = queue.recover() {
-            assert!(e.to_string().contains("vulfi store fsck --repair"), "{e}");
-            let report = Store::open(&root).unwrap().fsck(true).unwrap();
-            let q = report
-                .studies
-                .iter()
-                .find(|s| s.key.0 == "queue")
-                .expect("store fsck must cover the queue log");
-            assert!(q.quarantined.is_some(), "repair must quarantine");
-            assert!(!Store::open(&root).unwrap().fsck(false).unwrap().dirty());
-            queue.recover().expect("the daemon must start after repair");
-            repairs += 1;
-        }
+        // A "new daemon": a torn tail heals, mid-file corruption is loud.
+        let mut journal = match Journal::open(&root) {
+            Ok(j) => j,
+            Err(e) => {
+                assert!(e.to_string().contains("vulfi store fsck --repair"), "{e}");
+                let report = Store::open(&root).unwrap().fsck(true).unwrap();
+                let j = report
+                    .studies
+                    .iter()
+                    .find(|s| s.key.0 == "journal")
+                    .expect("store fsck must cover the journal");
+                assert!(j.quarantined.is_some(), "repair must quarantine");
+                assert!(!Store::open(&root).unwrap().fsck(false).unwrap().dirty());
+                repairs += 1;
+                Journal::open(&root).expect("the daemon must start after repair")
+            }
+        };
+        journal.recover().unwrap();
         assert!(
-            queue
-                .jobs()
-                .unwrap()
+            journal
+                .table()
+                .jobs
                 .iter()
                 .all(|j| j.state != JobState::Running),
             "startup recovery re-queues every orphan"
@@ -451,31 +375,42 @@ fn job_queue_survives_kill_corrupt_fsck_resume_loop() {
         // This daemon runs one job; every other daemon dies before the
         // job completes.
         let key = format!("study{round}");
-        let id = queue.submit(&StudySpec::default(), &key, None).unwrap();
-        queue.started(id, &key).unwrap();
+        let id = journal.submit(&StudySpec::default(), &key, None).unwrap();
+        journal.started(id).unwrap();
+        let ev = |kind| OpsEvent::new(kind).job(id).key(&key).worker("w0");
+        journal
+            .append(ev(OpsKind::LeaseGranted).shard(0, 0, 5))
+            .unwrap();
+        journal
+            .append(ev(OpsKind::ShardDone).shard(0, 0, 5).wall_ns(1_000_000))
+            .unwrap();
         let finished = round % 2 == 0;
         if finished {
-            queue.completed(id).unwrap();
+            journal.append(ev(OpsKind::Merged)).unwrap();
+            journal.completed(id).unwrap();
         }
-        let job = queue
-            .jobs()
-            .unwrap()
-            .into_iter()
-            .find(|j| j.id == id)
-            .expect("a fresh submit must fold");
+        let job = journal.table().job(id).expect("a fresh submit must fold");
         let want = if finished {
             JobState::Completed
         } else {
             JobState::Running
         };
         assert_eq!(job.state, want);
+        assert_eq!(job.merged, finished);
+        for j in &journal.table().jobs {
+            assert!(
+                j.shards >= u64::from(!j.workers.is_empty()),
+                "workers imply shards: {j:?}"
+            );
+        }
+        assert_eq!(Journal::open(&root).unwrap().table(), journal.table());
 
         // Chaos: torn trailing append (killed daemon), a flipped byte,
         // or nothing.
-        let path = queue.path();
+        let path = journal.path();
         let mut bytes = std::fs::read(&path).unwrap();
         match chaos.below(3) {
-            0 => bytes.extend_from_slice(b"\n{\"job\":99,\"kind\":\"Subm"),
+            0 => bytes.extend_from_slice(b"\n{\"unix_ms\":1,\"kind\":\"Subm"),
             1 => flip_a_byte(&mut chaos, &mut bytes),
             _ => {}
         }

@@ -1,4 +1,5 @@
-//! The injection daemon: accept loop, persistent queue, worker pool.
+//! The injection daemon: accept loop, journal-backed job table, worker
+//! pool.
 //!
 //! ## Execution model
 //!
@@ -18,8 +19,10 @@
 //!
 //! Every durable structure is an append-only checksummed log:
 //!
-//! - the job queue replays to the last completed append; a job seen
-//!   `Running` at startup belonged to a dead daemon and is re-queued;
+//! - the journal (`<store>/events/ops.jsonl`) is the one job log: bind
+//!   folds it once into the in-memory job table, every lifecycle
+//!   transition is one append, and a job seen `Running` at startup
+//!   belonged to a dead daemon and is re-queued;
 //! - shard results land in the study store the moment each shard
 //!   finishes — the append *is* the checkpoint, so a `kill -9` loses at
 //!   most in-flight shards;
@@ -40,9 +43,9 @@ use serde::Value;
 use vulfi::{PruneContext, StudySpec};
 use vulfi_orch::{
     load_cells, merge, missing_jobs, parse_alert_rules, plan_shards, render_alerts_json, run_shard,
-    sparkline_svg, AlertEngine, AlertState, Cell, JobQueue, JobRecord, JobState, LeaseBoard,
-    OpsEvent, OpsKind, OpsLog, Progress, Sampler, SamplerInputs, Store, StudyKey, StudyStore,
-    TelemetryLog, TelemetryRing, DEFAULT_RING_CAPACITY,
+    sparkline_svg, AlertEngine, AlertState, Cell, JobRecord, JobState, Journal, LeaseBoard,
+    OpsEvent, OpsKind, Progress, Sampler, SamplerInputs, Store, StudyKey, StudyStore, TelemetryLog,
+    TelemetryRing, DEFAULT_RING_CAPACITY,
 };
 
 use crate::http::{read_request, respond, respond_error, respond_json, Request};
@@ -119,12 +122,16 @@ struct ActiveStudy {
     /// Guards the shard log append *and* the progress fold, so the
     /// status endpoint always sees counts consistent with the store.
     progress: Mutex<Progress>,
+    /// Held across the job's terminal transition, so exactly one worker
+    /// journals it.
+    closing: Mutex<()>,
+    /// Set only once the terminal transition is in the journal.
     finished: AtomicBool,
 }
 
 /// The telemetry hub: everything the sampler thread mutates each tick
 /// and the `/alerts` + dashboard handlers read. One mutex, always
-/// acquired *after* (never while holding) the queue/active locks.
+/// acquired *after* (never while holding) the journal/active locks.
 struct Telemetry {
     log: TelemetryLog,
     ring: TelemetryRing,
@@ -136,16 +143,15 @@ struct Telemetry {
 
 struct Shared {
     store: Store,
-    queue: Mutex<JobQueue>,
+    /// The journal and its folded job table. Appends are serialized here
+    /// so concurrent workers never interleave half-lines.
+    journal: Mutex<Journal>,
     active: Mutex<Option<Arc<ActiveStudy>>>,
     /// Held by the worker promoting a job, so one cell is built per
     /// study; never taken by the accept thread.
     promoting: Mutex<()>,
     shutdown: AtomicBool,
     lease_ttl: Duration,
-    /// Operational event stream. Appends are serialized here so
-    /// concurrent workers never interleave half-lines.
-    ops: Mutex<OpsLog>,
     /// `None` when sampling is disabled: no thread runs and nothing in
     /// the experiment path ever touches telemetry.
     telemetry: Option<Mutex<Telemetry>>,
@@ -160,11 +166,12 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    /// Append one operational event. The ops log is narrative, not
-    /// state, so a failing append is reported but never fails the job.
+    /// Append one narrative event (lease, shard, merge, fault, alert).
+    /// These move no job between states, so a failing append is
+    /// reported but never fails the job.
     fn ops_emit(&self, ev: OpsEvent) {
-        if let Err(e) = relock(&self.ops).append(ev) {
-            eprintln!("vulfi-serve: ops log: {e}");
+        if let Err(e) = relock(&self.journal).append(ev) {
+            eprintln!("vulfi-serve: journal: {e}");
         }
     }
 
@@ -172,10 +179,10 @@ impl Shared {
     /// is active. Returns `None` when the queue is empty.
     ///
     /// Promotion marks the job started, then builds its [`Cell`] outside
-    /// the `queue` and `active` locks, which the accept thread's handlers
-    /// take. A job whose cell cannot be built, whose re-derived key
-    /// contradicts the submitted one, or whose shard log cannot be read
-    /// fails, and the next job is tried.
+    /// the `journal` and `active` locks, which the accept thread's
+    /// handlers take. A job with no spec or key, whose cell cannot be
+    /// built, whose re-derived key contradicts the submitted one, or
+    /// whose shard log cannot be read fails, and the next job is tried.
     fn current_or_next(&self) -> Result<Option<Arc<ActiveStudy>>, String> {
         let _promoting = relock(&self.promoting);
         loop {
@@ -184,18 +191,18 @@ impl Shared {
                     return Ok(Some(a.clone()));
                 }
             }
-            let next = relock(&self.queue).next_queued();
-            let Some(job) = next.map_err(|e| e.to_string())? else {
+            let next = relock(&self.journal).table().next_queued().cloned();
+            let Some(job) = next else {
                 *relock(&self.active) = None;
                 return Ok(None);
             };
-            let Some(key) = job.key.as_deref() else {
-                return Err(format!("job {} has no study key", job.id));
-            };
-            self.mark_started(&job, key)?;
-            match self.promote(&job, key) {
+            let wait_ns = relock(&self.journal)
+                .started(job.id)
+                .map_err(|e| e.to_string())?;
+            vulfi_orch::metrics::global().observe_queue_wait(wait_ns);
+            match self.promote(&job) {
                 Ok(a) => return Ok(Some(a)),
-                Err(e) => self.fail_job(job.id, key, &e),
+                Err(e) => self.fail_job(job.id, &e)?,
             }
         }
     }
@@ -206,9 +213,16 @@ impl Shared {
     /// the same [`Cell::build`]; a mismatch means the build is not
     /// deterministic, and running anyway would file results under the
     /// wrong study.
-    fn promote(&self, job: &JobRecord, submitted: &str) -> Result<Arc<ActiveStudy>, String> {
-        let cell = Cell::build(&job.spec)?;
-        if cell.key.0 != submitted {
+    fn promote(&self, job: &JobRecord) -> Result<Arc<ActiveStudy>, String> {
+        let (Some(spec), Some(submitted)) = (&job.spec, &job.key) else {
+            return Err(format!(
+                "job {} has no spec or study key: its submit event is missing from the \
+                 journal; resubmit the study",
+                job.id
+            ));
+        };
+        let cell = Cell::build(spec)?;
+        if &cell.key.0 != submitted {
             return Err(format!(
                 "promotion-derived key {} contradicts submitted key {submitted} — refusing to \
                  contaminate the store",
@@ -236,46 +250,38 @@ impl Shared {
             progress: Mutex::new(Progress::resume(&cell.cfg, &done)),
             cell,
             prune,
+            closing: Mutex::new(()),
             finished: AtomicBool::new(false),
         });
         *relock(&self.active) = Some(a.clone());
         Ok(a)
     }
 
-    /// Record that a worker picked `job` up; its queue wait ends here,
-    /// before the cell build.
-    fn mark_started(&self, job: &JobRecord, key: &str) -> Result<(), String> {
-        relock(&self.queue)
-            .started(job.id, key)
-            .map_err(|e| e.to_string())?;
-        let started = OpsEvent::new(OpsKind::Started).job(job.id).key(key);
-        let wait_ms = started.unix_ms.saturating_sub(job.submitted_unix_ms);
-        let wait_ns = wait_ms.saturating_mul(1_000_000);
-        vulfi_orch::metrics::global().observe_queue_wait(wait_ns);
-        self.ops_emit(started.wall_ns(wait_ns));
-        Ok(())
-    }
-
-    /// Mark the active study failed (first caller wins) and clear it so
-    /// the queue can advance.
-    fn fail_active(&self, active: &Arc<ActiveStudy>, error: &str) {
-        if !active.finished.swap(true, Ordering::SeqCst) {
-            self.fail_job(active.job, &active.cell.key.0, error);
-            self.clear_active(active.job);
+    /// Fail the active study, unless a worker has already journaled its
+    /// end, and clear it so the queue can advance.
+    fn fail_active(&self, active: &ActiveStudy, error: &str) {
+        let _closing = relock(&active.closing);
+        if active.finished.load(Ordering::SeqCst) {
+            return;
+        }
+        match self.fail_job(active.job, error) {
+            Ok(()) => self.finish(active),
+            Err(e) => eprintln!("vulfi-serve: {e}"),
         }
     }
 
-    fn fail_job(&self, job: u64, key: &str, error: &str) {
-        if let Err(e) = relock(&self.queue).failed(job, error) {
-            eprintln!("vulfi-serve: recording failure of job {job}: {e}");
-        }
-        let failed = OpsEvent::new(OpsKind::Failed).job(job).key(key);
-        self.ops_emit(failed.detail(error));
+    fn fail_job(&self, job: u64, error: &str) -> Result<(), String> {
+        relock(&self.journal)
+            .failed(job, error)
+            .map_err(|e| format!("recording failure of job {job}: {e}"))
     }
 
-    fn clear_active(&self, job: u64) {
+    /// Mark `active` finished, once its terminal transition is in the
+    /// journal, and clear it.
+    fn finish(&self, active: &ActiveStudy) {
+        active.finished.store(true, Ordering::SeqCst);
         let mut g = relock(&self.active);
-        if g.as_ref().is_some_and(|a| a.job == job) {
+        if g.as_ref().is_some_and(|a| a.job == active.job) {
             *g = None;
         }
     }
@@ -335,29 +341,28 @@ impl DaemonHandle {
 }
 
 impl Daemon {
-    /// Open the store and queue, recover orphaned jobs, and bind the
+    /// Open the store and journal, recover orphaned jobs, and bind the
     /// listener. Writes the actual bound address to `<store>/serve.addr`
     /// so shell scripts can discover an ephemeral port.
     pub fn bind(cfg: &ServeConfig) -> Result<Daemon, String> {
         let store = Store::open(&cfg.store).map_err(|e| e.to_string())?;
-        let queue = JobQueue::open(&cfg.store).map_err(|e| e.to_string())?;
-        let ops = OpsLog::open(&cfg.store).map_err(|e| e.to_string())?;
-        let orphans = queue.recover().map_err(|e| e.to_string())?;
+        let old_queue = cfg.store.join("queue").join("events.jsonl");
+        if old_queue.exists() {
+            return Err(format!(
+                "{} is a job queue log from an older daemon; the journal now holds \
+                 the job table. Move that file aside and restart (completed studies \
+                 stay cached by key; resubmit unfinished ones)",
+                old_queue.display()
+            ));
+        }
+        let mut journal = Journal::open(&cfg.store).map_err(|e| e.to_string())?;
+        let orphans = journal.recover().map_err(|e| e.to_string())?;
         if !orphans.is_empty() {
             eprintln!(
                 "vulfi-serve: re-queued {} job(s) orphaned by a previous daemon: {:?}",
                 orphans.len(),
                 orphans
             );
-            for id in &orphans {
-                if let Err(e) = ops.append(
-                    OpsEvent::new(OpsKind::Requeued)
-                        .job(*id)
-                        .detail("orphaned by a dead daemon"),
-                ) {
-                    eprintln!("vulfi-serve: ops log: {e}");
-                }
-            }
         }
         // Alert rules are parsed at bind time so a typo'd file refuses
         // to start the daemon instead of silently never firing.
@@ -401,12 +406,11 @@ impl Daemon {
             listener,
             shared: Arc::new(Shared {
                 store,
-                queue: Mutex::new(queue),
+                journal: Mutex::new(journal),
                 active: Mutex::new(None),
                 promoting: Mutex::new(()),
                 shutdown: AtomicBool::new(false),
                 lease_ttl: cfg.lease_ttl,
-                ops: Mutex::new(ops),
                 telemetry,
                 telemetry_interval: cfg.telemetry_interval,
             }),
@@ -485,12 +489,14 @@ impl Daemon {
 /// alert rules, and turn firing/resolved transitions into ops events.
 fn telemetry_tick(shared: &Arc<Shared>) {
     let Some(tel) = &shared.telemetry else { return };
-    // Gather the gauges first, releasing the queue/active locks before
+    // Gather the gauges first, releasing the journal/active locks before
     // touching the telemetry lock (fixed acquisition order).
-    let queue_depth = relock(&shared.queue)
-        .jobs()
-        .map(|jobs| jobs.iter().filter(|j| j.state == JobState::Queued).count() as u64)
-        .unwrap_or(0);
+    let queue_depth = relock(&shared.journal)
+        .table()
+        .jobs
+        .iter()
+        .filter(|j| j.state == JobState::Queued)
+        .count() as u64;
     let (active_leases, lease_expired) = match relock(&shared.active).clone() {
         Some(a) => {
             let s = relock(&a.board).stats();
@@ -571,22 +577,25 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let name = format!("worker-{idx}");
     while !shared.shutdown.load(Ordering::SeqCst) {
         match shared.current_or_next() {
-            Ok(Some(active)) => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    work_on(shared, &active, &name)
-                }));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => shared.fail_active(&active, &e),
-                    Err(_) => shared.fail_active(&active, "worker panicked"),
-                }
-            }
+            Ok(Some(active)) => run_active(shared, &active, &name),
             Ok(None) => std::thread::sleep(Duration::from_millis(20)),
             Err(e) => {
                 eprintln!("vulfi-serve: {name}: {e}");
                 std::thread::sleep(Duration::from_millis(200));
             }
         }
+    }
+}
+
+/// Work on `active`, failing the job on an error or a panic.
+fn run_active(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        work_on(shared, active, worker)
+    }));
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => shared.fail_active(active, &e),
+        Err(_) => shared.fail_active(active, "worker panicked"),
     }
 }
 
@@ -656,38 +665,38 @@ fn work_on(shared: &Arc<Shared>, active: &Arc<ActiveStudy>, worker: &str) -> Res
 }
 
 /// First worker to see the board drained merges and completes the job;
-/// everyone else observes `finished` and moves on.
+/// everyone else observes `finished` and moves on. An error here leaves
+/// the job unfinished, so the caller's `fail_active` journals the failure.
 fn finish_study(
     shared: &Arc<Shared>,
     active: &Arc<ActiveStudy>,
     study: &StudyStore,
 ) -> Result<(), String> {
-    if active.finished.swap(true, Ordering::SeqCst) {
+    let _closing = relock(&active.closing);
+    if active.finished.load(Ordering::SeqCst) {
         return Ok(());
     }
     let cell = &active.cell;
-    let event = |kind| OpsEvent::new(kind).job(active.job).key(&cell.key.0);
     let done = study.shards().map_err(|e| e.to_string())?;
-    let outcome = match merge(&cell.cfg, cell.prog.category, &done) {
-        Some(_) => {
-            let mut m = study.read_manifest().map_err(|e| e.to_string())?;
-            if !m.complete {
-                m.complete = true;
-                study.write_manifest(&m).map_err(|e| e.to_string())?;
-            }
-            shared.ops_emit(event(OpsKind::Merged));
-            shared.ops_emit(event(OpsKind::Completed));
-            relock(&shared.queue).completed(active.job)
-        }
+    if merge(&cell.cfg, cell.prog.category, &done).is_none() {
         // Drained board but incomplete merge: the store lost records
         // between planning and now (external interference). Surface it.
-        None => {
-            shared.ops_emit(event(OpsKind::Failed).detail("board drained but merge incomplete"));
-            relock(&shared.queue).failed(active.job, "board drained but merge incomplete")
-        }
-    };
-    outcome.map_err(|e| e.to_string())?;
-    shared.clear_active(active.job);
+        return Err("board drained but merge incomplete".to_string());
+    }
+    let mut m = study.read_manifest().map_err(|e| e.to_string())?;
+    if !m.complete {
+        m.complete = true;
+        study.write_manifest(&m).map_err(|e| e.to_string())?;
+    }
+    shared.ops_emit(
+        OpsEvent::new(OpsKind::Merged)
+            .job(active.job)
+            .key(&cell.key.0),
+    );
+    relock(&shared.journal)
+        .completed(active.job)
+        .map_err(|e| e.to_string())?;
+    shared.finish(active);
     Ok(())
 }
 
@@ -699,19 +708,22 @@ fn opt_str(o: &Option<String>) -> Value {
 }
 
 fn job_doc(j: &JobRecord) -> Value {
+    // A job whose submit line a salvage lost has no spec; it fails at
+    // promotion, and its spec fields read as the defaults.
+    let spec = j.spec.clone().unwrap_or_default();
     serde_json::json!({
         "id": j.id,
         "state": j.state.name(),
         "key": opt_str(&j.key),
         "tenant": opt_str(&j.tenant),
         "error": opt_str(&j.error),
-        "bench": j.spec.bench.clone(),
-        "isa": j.spec.isa.clone(),
-        "category": j.spec.category.clone(),
-        "experiments": j.spec.experiments as u64,
-        "campaigns": j.spec.campaigns as u64,
-        "seed": j.spec.seed,
-        "detectors": j.spec.detectors,
+        "bench": spec.bench,
+        "isa": spec.isa,
+        "category": spec.category,
+        "experiments": spec.experiments as u64,
+        "campaigns": spec.campaigns as u64,
+        "seed": spec.seed,
+        "detectors": spec.detectors,
         "submitted_unix_ms": j.submitted_unix_ms,
         "updated_unix_ms": j.updated_unix_ms,
     })
@@ -730,17 +742,19 @@ fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
             let text = vulfi_orch::render_prometheus(&vulfi_orch::metrics::global().snapshot());
             respond(stream, 200, "text/plain; version=0.0.4", text.as_bytes());
         }
-        ("GET", ["jobs"]) => match relock(&shared.queue).jobs() {
-            Ok(jobs) => {
-                let docs: Vec<Value> = jobs.iter().map(job_doc).collect();
-                respond_json(
-                    stream,
-                    200,
-                    &serde_json::json!({ "jobs": Value::Array(docs) }),
-                );
-            }
-            Err(e) => respond_error(stream, 500, &e.to_string()),
-        },
+        ("GET", ["jobs"]) => {
+            let docs: Vec<Value> = relock(&shared.journal)
+                .table()
+                .jobs
+                .iter()
+                .map(job_doc)
+                .collect();
+            respond_json(
+                stream,
+                200,
+                &serde_json::json!({ "jobs": Value::Array(docs) }),
+            );
+        }
         ("GET", ["dashboard"]) => handle_dashboard(shared, stream),
         ("GET", ["alerts"]) => handle_alerts(shared, stream),
         ("POST", ["studies"]) => handle_submit(shared, &req, stream),
@@ -787,19 +801,13 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
     }
     let key = &cell.key.0;
     let tenant = req.header("x-vulfi-tenant").map(str::to_string);
-    match relock(&shared.queue).submit(&cell.spec, key, tenant.as_deref()) {
-        Ok(job) => {
-            let mut ev = OpsEvent::new(OpsKind::Submitted).job(job).key(key);
-            if let Some(t) = &tenant {
-                ev = ev.detail(t.clone());
-            }
-            shared.ops_emit(ev);
-            respond_json(
-                stream,
-                202,
-                &serde_json::json!({ "job": job, "key": key.clone(), "state": "queued" }),
-            )
-        }
+    let submitted = relock(&shared.journal).submit(&cell.spec, key, tenant.as_deref());
+    match submitted {
+        Ok(job) => respond_json(
+            stream,
+            202,
+            &serde_json::json!({ "job": job, "key": key.clone(), "state": "queued" }),
+        ),
         Err(e) => respond_error(stream, 500, &e.to_string()),
     }
 }
@@ -808,15 +816,14 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) {
 /// store (running SDC/Benign/Crash counts, ETA) and the merged result
 /// once complete.
 fn handle_status(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
-    let jobs = match relock(&shared.queue).jobs() {
-        Ok(j) => j,
-        Err(e) => return respond_error(stream, 500, &e.to_string()),
-    };
     // Latest submission wins: the same key can be submitted repeatedly.
-    let job = jobs
+    let job = relock(&shared.journal)
+        .table()
+        .jobs
         .iter()
         .rev()
-        .find(|j| j.key.as_deref() == Some(key_str));
+        .find(|j| j.key.as_deref() == Some(key_str))
+        .cloned();
     let key = StudyKey(key_str.to_string());
     let study = shared.store.study(&key);
     if job.is_none() && !study.exists() {
@@ -824,7 +831,7 @@ fn handle_status(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
     }
 
     let mut fields: Vec<(String, Value)> = vec![("key".to_string(), Value::Str(key_str.into()))];
-    if let Some(j) = job {
+    if let Some(j) = &job {
         fields.push(("job".to_string(), job_doc(j)));
         fields.push(("state".to_string(), Value::Str(j.state.name().to_string())));
     }
@@ -899,7 +906,7 @@ fn study_status_fields(
 /// `GET /studies/:key/events`: this study's slice of the operational
 /// event log, oldest first, for machine consumption.
 fn handle_events(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
-    let events = match relock(&shared.ops).events() {
+    let events = match relock(&shared.journal).events() {
         Ok(evs) => evs,
         Err(e) => return respond_error(stream, 500, &e.to_string()),
     };
@@ -962,10 +969,7 @@ fn dash_row(out: &mut String, cells: &[String]) {
 /// metrics. Zero JavaScript, zero external assets: the page is the
 /// markup, and `<meta http-equiv="refresh">` is the update loop.
 fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
-    let jobs = match relock(&shared.queue).jobs() {
-        Ok(j) => j,
-        Err(e) => return respond_error(stream, 500, &e.to_string()),
-    };
+    let jobs = relock(&shared.journal).table().jobs.clone();
     let mut out = String::new();
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">");
     out.push_str("<meta http-equiv=\"refresh\" content=\"2\">");
@@ -993,14 +997,15 @@ fn handle_dashboard(shared: &Arc<Shared>, stream: &mut TcpStream) {
         );
         for j in &jobs {
             let key = j.key.as_deref().unwrap_or("?");
+            let spec = j.spec.clone().unwrap_or_default();
             dash_row(
                 &mut out,
                 &[
                     j.id.to_string(),
                     esc(j.state.name()),
-                    esc(&j.spec.bench),
-                    esc(&j.spec.isa),
-                    format!("{}", (j.spec.experiments * j.spec.campaigns) as u64),
+                    esc(&spec.bench),
+                    esc(&spec.isa),
+                    format!("{}", (spec.experiments * spec.campaigns) as u64),
                     esc(&key[..12.min(key.len())]),
                     esc(j.tenant.as_deref().unwrap_or("-")),
                     esc(j.error.as_deref().unwrap_or("-")),
@@ -1177,5 +1182,118 @@ fn handle_report(shared: &Arc<Shared>, key_str: &str, stream: &mut TcpStream) {
             404,
             &format!("no completed study {key_str} in the store"),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    fn bind_at(root: &std::path::Path) -> Result<Daemon, String> {
+        Daemon::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            store: root.to_path_buf(),
+            workers: 1,
+            telemetry_interval: Duration::ZERO,
+            ..ServeConfig::default()
+        })
+    }
+
+    fn state_of(jobs: &[JobRecord], id: u64) -> Option<JobState> {
+        jobs.iter().find(|j| j.id == id).map(|j| j.state)
+    }
+
+    /// The study's manifest cannot be read back when its shards have all
+    /// landed: the job must end `failed` — in the live table, in the
+    /// journal a restart replays, and over HTTP — not stay `running`.
+    #[test]
+    fn a_manifest_failure_at_finish_fails_the_job() {
+        let root = std::env::temp_dir().join(format!("vulfi_daemon_finish_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let daemon = bind_at(&root).unwrap();
+        let shared = &daemon.shared;
+        let cell = Cell::build(&StudySpec {
+            bench: "vector sum".to_string(),
+            experiments: 4,
+            campaigns: 2,
+            shard_size: 2,
+            ..StudySpec::default()
+        })
+        .unwrap();
+        cell.open(&shared.store).unwrap();
+        let job = relock(&shared.journal)
+            .submit(&cell.spec, &cell.key.0, None)
+            .unwrap();
+        let active = shared.current_or_next().unwrap().expect("job promoted");
+        assert_eq!(active.job, job);
+
+        let manifest = root.join(&cell.key.0).join("manifest.json");
+        std::fs::remove_file(&manifest).unwrap();
+        std::fs::create_dir(&manifest).unwrap();
+        run_active(shared, &active, "w0");
+
+        let live = relock(&shared.journal).table().clone();
+        assert_eq!(state_of(&live.jobs, job), Some(JobState::Failed));
+        assert!(active.finished.load(Ordering::SeqCst));
+        assert!(relock(&shared.active).is_none(), "the queue can advance");
+        let replayed = Journal::open(&root).unwrap();
+        assert_eq!(replayed.table(), &live);
+
+        // GET /jobs, served on the bound listener.
+        let addr = daemon.local_addr().unwrap().to_string();
+        let client = std::thread::spawn(move || Client::new(addr).get("/jobs"));
+        let mut stream = loop {
+            match daemon.listener.accept() {
+                Ok((s, _)) => break s,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5))
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        stream.set_nonblocking(false).unwrap();
+        handle_connection(shared, &mut stream);
+        drop(stream);
+        let (status, doc) = client.join().unwrap().unwrap();
+        assert_eq!(status, 200);
+        let jobs = doc.get("jobs").and_then(|v| v.as_array()).unwrap();
+        let served = jobs
+            .iter()
+            .find(|j| j.get("id").and_then(|v| v.as_u64()) == Some(job))
+            .unwrap();
+        assert_eq!(served.get("state").and_then(|v| v.as_str()), Some("failed"));
+        let error = served.get("error").and_then(|v| v.as_str()).unwrap();
+        assert!(error.contains("manifest"), "{error}");
+    }
+
+    /// Bind refuses, naming the way out, a store whose job state it
+    /// cannot trust: a queue log from an older daemon, or a journal with
+    /// mid-file corruption.
+    #[test]
+    fn bind_refuses_an_old_queue_log_and_a_corrupt_journal() {
+        let root = std::env::temp_dir().join(format!("vulfi_daemon_refuse_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("queue")).unwrap();
+        std::fs::write(root.join("queue").join("events.jsonl"), "").unwrap();
+        let err = bind_at(&root).err().expect("an old queue log is refused");
+        assert!(err.contains("queue/events.jsonl"), "{err}");
+        assert!(err.contains("Move that file aside"), "{err}");
+        std::fs::remove_dir_all(root.join("queue")).unwrap();
+
+        let mut journal = Journal::open(&root).unwrap();
+        for key in ["aaaa", "bbbb", "cccc"] {
+            journal.submit(&StudySpec::default(), key, None).unwrap();
+        }
+        let mut bytes = std::fs::read(journal.path()).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x20;
+        std::fs::write(journal.path(), &bytes).unwrap();
+        let err = bind_at(&root).err().expect("a corrupt journal is refused");
+        assert!(err.contains("vulfi store fsck --repair"), "{err}");
+        Store::open(&root).unwrap().fsck(true).unwrap();
+        let daemon = bind_at(&root).expect("bind succeeds after repair");
+        let jobs = relock(&daemon.shared.journal).table().jobs.clone();
+        assert!(!jobs.is_empty() && jobs.len() < 3, "salvaged: {jobs:?}");
     }
 }

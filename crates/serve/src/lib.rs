@@ -16,7 +16,7 @@
 //! | `POST /studies` | submit a [`vulfi::StudySpec`] → `{job, key}` |
 //! | `GET /studies/:key` | queue state, live counts + ETA, result |
 //! | `GET /studies/:key/report` | analytics cell (Wilson CI etc.) |
-//! | `GET /studies/:key/events` | the study's slice of the ops event log |
+//! | `GET /studies/:key/events` | the study's slice of the journal |
 //! | `GET /jobs` | the folded job table |
 //! | `GET /dashboard` | live self-contained zero-JS HTML dashboard |
 //! | `GET /metrics` | Prometheus exposition of the global registry |
@@ -27,12 +27,12 @@
 //! and ships no HTTP stack, so the daemon speaks exactly as much HTTP as
 //! the API needs (see [`http`]).
 //!
-//! Operationally the daemon narrates itself: every lifecycle edge
-//! (submit, queue→active, lease grant, shard completion, requeue,
-//! merge, failure, absorbed engine faults) is appended to a
-//! crash-tolerant ops log at `<store>/events/ops.jsonl` with the
-//! correlation IDs needed to reconstruct any job's history offline —
-//! `vulfi events summarize` replays it without the daemon running.
+//! The daemon keeps one journal, `<store>/events/ops.jsonl`: every
+//! lifecycle edge (submit, queue→active, lease grant, shard completion,
+//! requeue, merge, failure, absorbed engine faults) is one checksummed
+//! append carrying the correlation IDs needed to reconstruct any job's
+//! history. The job table is a fold over it, replayed once at bind and
+//! kept in memory; `vulfi events summarize` runs the same fold offline.
 
 pub mod client;
 pub mod daemon;

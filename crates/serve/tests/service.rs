@@ -519,7 +519,7 @@ fn promotion_fails_a_job_whose_key_contradicts_its_spec() {
     };
     let right = vulfi_orch::Cell::build(&spec).unwrap().key;
     let wrong = vulfi_orch::StudyKey("0".repeat(32));
-    let job = vulfi_orch::JobQueue::open(&store)
+    let job = vulfi_orch::Journal::open(&store)
         .unwrap()
         .submit(&spec, &wrong.0, None)
         .unwrap();
